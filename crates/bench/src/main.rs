@@ -61,7 +61,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::value(
         "--frame-workers",
         "N",
-        "cross-frame pipeline depth for the stall-accounting sample (default 4)",
+        "frames in flight for the stall-accounting sample (default 4)",
     ),
     FlagSpec::value("--baseline", "FILE", "gate: committed trajectory to compare against"),
     FlagSpec::value("--fresh", "FILE", "gate: compare this report instead of rerunning"),
@@ -220,7 +220,7 @@ struct Walls {
     /// section of the report).
     resim: Option<f64>,
     /// Summed cross-frame watermark stall time of one pipelined encode
-    /// at the configured `--frame-workers` depth, in nanoseconds.
+    /// with `--frame-workers` frames in flight, in nanoseconds.
     pipeline_stall_ns: Option<u64>,
 }
 
@@ -553,18 +553,20 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         .expect("valid params");
     suite.time_it("encode_tile_workers_1", 0, || {
         let mut probe = NullProbe;
-        black_box(tile_encoder.encode_with(&tile_clip, &mut probe, 1).expect("encode"));
+        black_box(tile_encoder.encode_threaded(&tile_clip, &mut probe, 1, 1).expect("encode"));
     });
     suite.time_it(&format!("encode_tile_workers_{tile_workers}"), 0, || {
         let mut probe = NullProbe;
-        black_box(tile_encoder.encode_with(&tile_clip, &mut probe, tile_workers).expect("encode"));
+        black_box(
+            tile_encoder.encode_threaded(&tile_clip, &mut probe, tile_workers, 1).expect("encode"),
+        );
     });
 
     // Cross-frame pipelining: the same dead-probe encode over a clip
-    // long enough to fill the pipeline, at depth 1/2/4. Artifacts are
-    // frame-pipeline invariant (the probe-merge contract again); the
-    // trio makes the phase-A/phase-B overlap win — or, on a single
-    // hardware thread, the scheduling overhead — visible in the
+    // long enough to fill the pipeline, at 1/2/4 frames in flight.
+    // Artifacts are frame-pipeline invariant (the probe-merge contract
+    // again); the trio makes the phase-A/phase-B overlap win — or, on a
+    // single hardware thread, the scheduling overhead — visible in the
     // trajectory as fixed-name metrics.
     let pipe_clip = vstress::video::synth::SynthParams {
         width: 160,
@@ -585,7 +587,7 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
     }
 
     // Cross-frame scheduler slack: one pipelined dead-probe encode at
-    // the configured `--frame-workers` depth, summing the watermark
+    // the configured `--frame-workers` count, summing the watermark
     // stall time the planners spent blocked on reference rows. Lands in
     // its own report section (see `render_report`) so the gate never
     // compares this machine-dependent number.

@@ -9,24 +9,39 @@
 //! simulation hot paths.
 //!
 //! The counter wraps the system allocator for this whole test binary,
-//! which is why the tests live in their own integration-test file; a
-//! shared lock keeps the measurement windows from overlapping when the
-//! harness runs tests on parallel threads.
+//! which is why the tests live in their own integration-test file. It
+//! counts per thread, so allocations on the harness's other threads
+//! (test spawns, output capture) never land in a measurement window; a
+//! shared lock still runs the tests one at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use vstress_bpred::{BranchPredictor, Gshare, Tage};
 use vstress_trace::record::BranchRecord;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialized with no
+    /// destructor, so the allocator may touch it at any point of a
+    /// thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -35,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,9 +58,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests: each one measures a window of the shared
-/// counter, so another test's setup allocations must not land inside it.
+/// Runs the tests one at a time. Taken through [`serial`], which
+/// tolerates poisoning: one failed test must not fail the others.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A branchy trace shaped like encoder control flow: a few dozen static
 /// sites, mixed biases, enough records to exercise TAGE allocation,
@@ -75,10 +94,10 @@ fn synthetic_trace(n: usize) -> Vec<BranchRecord> {
 /// allocation-and-aging machinery runs.
 #[test]
 fn tage_predict_update_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let trace = synthetic_trace(600_000);
     for mut tage in [Tage::seznec_8kb(), Tage::seznec_64kb()] {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let mut mispredicts = 0u64;
         for r in &trace {
             let guess = tage.predict(r.pc);
@@ -87,7 +106,7 @@ fn tage_predict_update_is_allocation_free() {
             }
             tage.update(r.pc, r.taken, guess);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         assert_eq!(
             after - before,
             0,
@@ -107,16 +126,16 @@ fn tage_predict_update_is_allocation_free() {
 /// gshare.
 #[test]
 fn replay_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let trace = synthetic_trace(400_000);
     let mut tage = Tage::seznec_8kb();
     let mut gshare = Gshare::with_budget_bytes(32 * 1024);
     let preds: [&mut dyn BranchPredictor; 2] = [&mut tage, &mut gshare];
     for pred in preds {
         let label = pred.label();
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let mispredicts = pred.replay(&trace);
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         assert_eq!(
             after - before,
             0,
@@ -133,15 +152,15 @@ fn replay_is_allocation_free() {
 /// existing prediction state, never into fresh scratch.
 #[test]
 fn tage_update_without_predict_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let trace = synthetic_trace(100_000);
     let mut tage = Tage::seznec_8kb();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for r in &trace {
         // Deliberately skip predict for every other branch.
         let guess = if r.pc & 8 == 0 { tage.predict(r.pc) } else { false };
         tage.update(r.pc, r.taken, guess);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "guarded update allocated {} times", after - before);
 }

@@ -1,7 +1,7 @@
 //! The top-level encoder: frames in, decodable bitstream + statistics out.
 
-use crate::batch::run_ordered;
 use crate::bitstream::{mode_mask, shape_mask, SequenceHeader};
+use crate::blocks::BlockRect;
 use crate::codecs::{CodecId, ToolSet};
 use crate::deblock::deblock_plane;
 use crate::entropy::RangeEncoder;
@@ -15,13 +15,15 @@ use crate::mc::MotionVector;
 use crate::params::{qindex_to_qstep, EncoderParams};
 use crate::params::{MAX_QINDEX, MIN_QINDEX};
 use crate::taskgraph::{
-    plan_layout, FrameTaskTrace, PipelineStats, PlanLayout, PlanUnit, TaskTrace, UnitSpan,
+    plan_layout, FrameTaskTrace, PipelineStats, PlanChain, PlanLayout, PlanUnit, TaskTrace,
+    UnitSpan,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use vstress_trace::{CountingProbe, EventBatch, Kernel, NullProbe, Probe, RecordingProbe};
-use vstress_video::{Clip, Frame};
+use vstress_video::{Clip, Frame, Plane};
 
 /// Branch-site PC of the rate-control row loop.
 ///
@@ -129,33 +131,48 @@ impl Encoder {
 
     /// Encodes `clip`, reporting all instrumentation through `probe`.
     ///
-    /// Equivalent to [`Encoder::encode_with`] at one tile worker (the
-    /// canonical serial execution).
+    /// This is [`Encoder::encode_threaded`] at one tile worker and one
+    /// frame worker: the canonical serial execution.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError::UnsupportedInput`] for clips that exceed the
     /// header's 16-bit geometry fields.
     pub fn encode<P: Probe>(&self, clip: &Clip, probe: &mut P) -> Result<EncodeResult, CodecError> {
-        self.encode_with(clip, probe, 1)
+        self.encode_threaded(clip, probe, 1, 1)
     }
 
-    /// Encodes `clip` with the partition search decomposed into the
-    /// codec's tile/wavefront plan units
-    /// ([`plan_layout`](crate::taskgraph::plan_layout)) and executed on
-    /// up to `tile_workers` worker threads.
+    /// Encodes `clip` with intra-frame (`tile_workers`) and cross-frame
+    /// (`frame_workers`) parallelism.
     ///
-    /// The result is **worker-count invariant**: every unit records its
-    /// probe events into a private
-    /// [`EventBatch`](vstress_trace::EventBatch) and the batches are
-    /// replayed into `probe` in canonical merge order (tile-major,
-    /// row-major within tile), so the bitstream, the reconstruction, the
-    /// task trace, and the full probe event stream — branch PCs included
-    /// — are byte-identical to the serial encode (pinned by the
-    /// `tile_equivalence` oracle; comparisons across separate encode
-    /// calls go through the model's first-touch page canonicalization,
-    /// since the synthetic allocator hands each encode fresh page
-    /// bases).
+    /// Each frame runs in two phases. Phase A — admission (padding and
+    /// the rate-control lookahead) and the partition search, decomposed
+    /// into the codec's tile/wavefront plan chains
+    /// ([`plan_layout`](crate::taskgraph::plan_layout)) — reads only the
+    /// source and finished references. Phase B — range coding,
+    /// reconstruction, the deblock filter and bit accounting — is one
+    /// serial chain over the frame raster on the calling thread.
+    ///
+    /// At one tile and one frame worker Phase A runs inline on the
+    /// calling thread, straight into `probe`, against the finished
+    /// reconstructions: no thread, no lock, no event recording. Any other
+    /// combination runs Phase A on a pool of `max(tile_workers,
+    /// frame_workers)` threads with up to `frame_workers` frames in
+    /// flight ([`crate::frame_pipeline`]): `frame_workers = 1` is tile
+    /// parallelism alone, and each further frame worker lets Phase A run
+    /// one more frame ahead of Phase B.
+    ///
+    /// The result is worker-count invariant in **both** dimensions: pool
+    /// workers record each plan unit into a private [`EventBatch`] and
+    /// the caller replays the batches into `probe` in canonical
+    /// frame/chain/unit order, so the bitstream, reconstruction, task
+    /// trace, and full probe event stream — branch PCs included — are
+    /// identical to the inline encode (pinned by the `tile_equivalence`
+    /// and `frame_pipeline_equivalence` oracles; comparisons across
+    /// separate encode calls go through the model's first-touch page
+    /// canonicalization, since the synthetic allocator hands each encode
+    /// fresh page bases). Only [`FrameTaskTrace::pipeline`] — wall-clock
+    /// occupancy, excluded from equality and serialization — differs.
     ///
     /// # Errors
     ///
@@ -164,14 +181,16 @@ impl Encoder {
     ///
     /// # Panics
     ///
-    /// Panics if `tile_workers` is zero.
-    pub fn encode_with<P: Probe>(
+    /// Panics if `tile_workers` or `frame_workers` is zero.
+    pub fn encode_threaded<P: Probe>(
         &self,
         clip: &Clip,
         probe: &mut P,
         tile_workers: usize,
+        frame_workers: usize,
     ) -> Result<EncodeResult, CodecError> {
         assert!(tile_workers > 0, "need at least one tile worker thread");
+        assert!(frame_workers > 0, "need at least one frame worker");
         let (w, h) = clip.dimensions();
         if w > u16::MAX as usize || h > u16::MAX as usize || clip.frames().len() > u16::MAX as usize
         {
@@ -182,8 +201,50 @@ impl Encoder {
                 ),
             });
         }
+        let sb = self.tools.superblock;
+        let padded = (w.div_ceil(sb) * sb, h.div_ceil(sb) * sb);
+        // Every frame shares the padded geometry, so one layout serves
+        // all of them.
+        let layout = plan_layout(self.tools.codec, padded.0 / sb, padded.1 / sb);
+        if tile_workers == 1 && frame_workers == 1 {
+            return self.encode_frames(clip, padded, &layout, probe, None);
+        }
+        let pool = Pool::new(self, clip, padded, &layout, frame_workers - 1, probe.is_live())?;
+        let threads = frame_workers.max(tile_workers).min(pool.tasks);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| pool.work());
+            }
+            // Any coordinator exit — success, error, panic — must
+            // release workers still blocked in the claim window.
+            let _cancel = CancelOnDrop(&pool.hub);
+            self.encode_frames(clip, padded, &layout, probe, Some(&pool))
+        })
+    }
+
+    /// Whether frame `f` is intra-only (takes no references).
+    fn is_keyframe(&self, f: usize) -> bool {
+        let keyint = self.params.keyint as usize;
+        f == 0 || (keyint > 0 && f.is_multiple_of(keyint))
+    }
+
+    /// The frame loop behind [`Encoder::encode_threaded`], in frame
+    /// order on the calling thread. Phase A runs inline when `pool` is
+    /// absent; otherwise its results are collected from the pool and
+    /// their events replayed in canonical position, and each coded
+    /// superblock row is published to the pool's planners.
+    fn encode_frames<P: Probe>(
+        &self,
+        clip: &Clip,
+        (pw, ph): (usize, usize),
+        layout: &PlanLayout,
+        probe: &mut P,
+        pool: Option<&Pool>,
+    ) -> Result<EncodeResult, CodecError> {
+        let (w, h) = clip.dimensions();
         let base_cfg = CoderConfig::from_tools(&self.tools, self.params.crf);
         let sb = self.tools.superblock;
+        let (sb_cols, sb_rows) = (pw / sb, ph / sb);
         let header = SequenceHeader {
             codec: self.tools.codec,
             width: w as u16,
@@ -204,7 +265,7 @@ impl Encoder {
 
         let mut enc = RangeEncoder::new();
         let mut state = CoderState::new();
-        let mut plan_scratch = PlanScratch::new();
+        let mut scratch = PlanScratch::new();
         // Reference list: [last, golden]. The golden frame refreshes every
         // GOLDEN_INTERVAL frames, giving the second reference a longer
         // temporal reach (flicker/occlusion content benefits).
@@ -216,81 +277,93 @@ impl Encoder {
         let mut tasks = TaskTrace::default();
         let mut bits_mark = 0u64;
 
-        for (frame_no, src) in clip.frames().iter().enumerate() {
+        for (f, src) in clip.frames().iter().enumerate() {
+            if let Some(pool) = pool {
+                pool.hub.advance(f);
+            }
             probe.set_kernel(Kernel::FrameSetup);
             probe.alu(64);
-            let padded_src = pad_to_multiple(src, sb);
-            let (pw, ph) = (padded_src.width(), padded_src.height());
-            let mut recon = Frame::new(pw, ph).map_err(CodecError::Video)?;
             let mut frame_trace = FrameTaskTrace::default();
             let lookahead_mark = probe.retired();
-            // Rate control: the lookahead measures frame activity and the
-            // CRF controller adapts the frame quantizer around the base —
-            // busier frames take a coarser Q (constant-quality behaviour).
-            let activity = rate_control_pass(probe, &padded_src);
-            let qindex = frame_qindex(base_cfg.qindex, activity, pw * ph);
-            let mut cfg = base_cfg.clone();
-            cfg.qindex = qindex;
+            let (padded_src, qindex) = match pool {
+                None => admit(probe, src, sb, base_cfg.qindex),
+                Some(pool) => pool.admitted(f, probe, &mut frame_trace.pipeline)?,
+            };
+            let mut recon = Frame::new(pw, ph).map_err(CodecError::Video)?;
             // The frame header: the chosen quantizer, signalled.
             enc.encode_literal(probe, qindex as u32, 8);
             frame_trace.lookahead = probe.retired() - lookahead_mark;
+            let mut cfg = base_cfg.clone();
+            cfg.qindex = qindex;
 
             // Assemble the reference list for this frame. References are
             // borrowed, not copied: stable buffer addresses across frames
             // are what give the cache simulation its cross-frame reuse.
             // Keyframes take no references (intra-only).
-            let is_keyframe = frame_no == 0
-                || (self.params.keyint > 0 && frame_no % self.params.keyint as usize == 0);
             let mut refs: Vec<&Frame> = Vec::new();
-            if !is_keyframe {
-                if let Some(l) = &last_recon {
-                    refs.push(l);
-                }
+            if !self.is_keyframe(f) {
+                refs.extend(&last_recon);
                 if self.tools.ref_frames > 1 {
-                    if let Some(g) = &golden_recon {
-                        refs.push(g);
+                    refs.extend(&golden_recon);
+                }
+            }
+
+            // Phase A — partition search, unit by unit along the layout's
+            // chains in canonical order. Unit costs are retired-counter
+            // deltas, a pure additive function of the event stream, so
+            // inline and replayed units measure identical values.
+            let mut plan_grid: Vec<Option<NodePlan>> =
+                (0..sb_cols * sb_rows).map(|_| None).collect();
+            let plan_units = &mut frame_trace.plan_units;
+            let mut accept = |unit: &UnitSpan, cost: u64, plans: Vec<NodePlan>| {
+                plan_units.push(PlanUnit {
+                    tile: unit.tile,
+                    row: unit.row,
+                    chunk: unit.chunk,
+                    cost,
+                });
+                for (col, plan) in unit.cols.clone().zip(plans) {
+                    plan_grid[unit.row * sb_cols + col] = Some(plan);
+                }
+            };
+            match pool {
+                None => {
+                    let mut mark = probe.retired();
+                    for chain in &layout.chains {
+                        // Finished references never cancel a wait.
+                        plan_chain(
+                            probe,
+                            &self.tools,
+                            &cfg,
+                            &padded_src,
+                            refs.as_slice(),
+                            chain,
+                            &mut scratch,
+                            |probe, unit, plans| {
+                                let now = probe.retired();
+                                accept(unit, now - mark, plans);
+                                mark = now;
+                            },
+                        );
                     }
                 }
+                Some(pool) => pool.planned(f, probe, &mut frame_trace.pipeline, accept)?,
             }
-            let refs_slice: &[&Frame] = &refs;
-
-            // Phase A — partition search, decomposed into the codec's
-            // tile/wavefront plan units. Planning reads only the source
-            // and the (finalized) references, never this frame's
-            // reconstruction, so units without a seed dependency are
-            // data-independent and can run on worker threads.
-            let sb_cols = pw / sb;
-            let sb_row_count = ph / sb;
-            let layout = plan_layout(self.tools.codec, sb_cols, sb_row_count);
-            let (plan_grid, plan_units) = plan_frame(
-                probe,
-                &self.tools,
-                &cfg,
-                &padded_src,
-                refs_slice,
-                &layout,
-                (sb_cols, sb_row_count),
-                tile_workers,
-                &mut plan_scratch,
-            )?;
-            let mut row_plan_cost = vec![0u64; sb_row_count];
-            for u in &plan_units {
+            let mut row_plan_cost = vec![0u64; sb_rows];
+            for u in &frame_trace.plan_units {
                 row_plan_cost[u.row] += u.cost;
             }
-            frame_trace.plan_units = plan_units;
 
             // Phase B — coding: entropy coding, reconstruction and the
             // adaptive contexts are a single serial chain over the frame
-            // raster (one range coder defines the bitstream), exactly as
-            // before the decomposition.
-            let mut plan_grid = plan_grid;
-            for row in 0..sb_row_count {
+            // raster (one range coder defines the bitstream).
+            let qstep = qindex_to_qstep(qindex);
+            for row in 0..sb_rows {
                 let code_mark = probe.retired();
                 let sy = row * sb;
                 for col in 0..sb_cols {
                     let sx = col * sb;
-                    let rect =
-                        crate::blocks::BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
+                    let rect = BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
                     let plan =
                         plan_grid[row * sb_cols + col].take().expect("every superblock planned");
                     let info = code_superblock(
@@ -298,7 +371,7 @@ impl Encoder {
                         &self.tools,
                         &cfg,
                         &padded_src,
-                        refs_slice,
+                        &refs,
                         &plan,
                         &mut enc,
                         &mut state,
@@ -308,7 +381,7 @@ impl Encoder {
                         probe,
                         &cfg,
                         &padded_src,
-                        refs_slice,
+                        &refs,
                         rect,
                         &info,
                         &mut enc,
@@ -317,11 +390,13 @@ impl Encoder {
                     );
                 }
                 frame_trace.sb_rows.push(row_plan_cost[row] + (probe.retired() - code_mark));
+                if let Some(pool) = pool {
+                    pool.publish(f, recon.luma(), (row + 1) * sb, qstep);
+                }
             }
 
             // In-loop filtering (frame-serial stage).
             let filter_mark = probe.retired();
-            let qstep = qindex_to_qstep(cfg.qindex);
             deblock_plane(probe, recon.luma_mut(), 8, qstep);
             deblock_plane(probe, recon.cb_mut(), 4, qstep);
             deblock_plane(probe, recon.cr_mut(), 4, qstep);
@@ -340,8 +415,22 @@ impl Encoder {
             recon.luma_mut().pad_borders();
             recon.cb_mut().pad_borders();
             recon.cr_mut().pad_borders();
-            if frame_no % GOLDEN_INTERVAL == 0 {
-                golden_recon = Some(recon.clone());
+            if let Some(pool) = pool {
+                debug_assert!(
+                    !pool.publishes(f) || pool.slots[f].view.read().frame().luma() == recon.luma(),
+                    "published view must equal the deblocked reconstruction"
+                );
+            }
+            if f % GOLDEN_INTERVAL == 0 {
+                let mut golden = recon.clone();
+                if let Some(gv) = pool.and_then(|p| p.slots[f].golden_view.as_ref()) {
+                    // Phase A read the golden snapshot's pages; the
+                    // Phase B clone must be the same buffer as far as the
+                    // probes are concerned — exactly as both phases read
+                    // the single clone under inline execution.
+                    golden.luma_mut().adopt_probe_identity(gv.read().frame().luma());
+                }
+                golden_recon = Some(golden);
             }
             last_recon = Some(recon);
         }
@@ -367,510 +456,117 @@ impl Encoder {
             bit_accounting: state.bits,
         })
     }
+}
 
-    /// Encodes `clip` with both intra-frame (`tile_workers`) and
-    /// cross-frame (`frame_workers`) parallelism: frame `N+1`'s Phase A
-    /// plan units start as soon as the reference rows they read are
-    /// published ([`crate::frame_pipeline`]), overlapping frame `N`'s
-    /// serial Phase B range coding; up to `frame_workers` frames are in
-    /// flight.
-    ///
-    /// The result is worker-count invariant in **both** dimensions: per
-    /// unit [`EventBatch`]es are merged in canonical frame/chain/unit
-    /// order, so the bitstream, reconstruction, task trace, and full
-    /// probe event stream are identical to [`Encoder::encode`] at any
-    /// `{tile_workers, frame_workers}` (pinned by the
-    /// `frame_pipeline_equivalence` oracle). Only
-    /// [`FrameTaskTrace::pipeline`] — wall-clock occupancy, excluded
-    /// from equality and serialization — differs.
-    ///
-    /// `frame_workers <= 1` is exactly [`Encoder::encode_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError::UnsupportedInput`] for clips that exceed the
-    /// header's 16-bit geometry fields.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tile_workers` or `frame_workers` is zero.
-    pub fn encode_threaded<P: Probe>(
-        &self,
-        clip: &Clip,
-        probe: &mut P,
-        tile_workers: usize,
-        frame_workers: usize,
-    ) -> Result<EncodeResult, CodecError> {
-        assert!(frame_workers > 0, "need at least one frame worker");
-        if frame_workers <= 1 {
-            return self.encode_with(clip, probe, tile_workers);
-        }
-        self.encode_pipelined(clip, probe, tile_workers, frame_workers)
+/// Frame admission, the head of Phase A: pads the source to whole
+/// superblocks and runs the rate-control lookahead over it. The CRF
+/// controller then adapts the frame quantizer around the base — busier
+/// frames take a coarser Q (constant-quality behaviour).
+fn admit<P: Probe>(probe: &mut P, src: &Frame, sb: usize, base_qindex: u8) -> (Arc<Frame>, u8) {
+    let padded = pad_to_multiple(src, sb);
+    let activity = rate_control_pass(probe, &padded);
+    let qindex = frame_qindex(base_qindex, activity, padded.width() * padded.height());
+    (Arc::new(padded), qindex)
+}
+
+/// Where Phase A reads a frame's references from.
+trait RefSource {
+    /// Blocks until reference rows `..need` are final; `false` when the
+    /// pipeline was canceled first.
+    fn wait_rows(&self, need: usize) -> bool;
+
+    /// Runs `plan` against the reference list.
+    fn with_refs<T>(&self, plan: impl FnOnce(&[&Frame]) -> T) -> T;
+}
+
+/// The finished reconstructions (inline Phase A): every row is final.
+impl RefSource for [&Frame] {
+    fn wait_rows(&self, _need: usize) -> bool {
+        true
     }
 
-    /// The cross-frame pipeline (`frame_workers >= 2`) behind
-    /// [`Encoder::encode_threaded`].
-    ///
-    /// Execution splits into a task pool and a coordinator (this
-    /// thread). Workers claim tasks — one admission (pad + lookahead +
-    /// rate control) and `layout.chains` plan-chain tasks per frame —
-    /// strictly in frame-major order, windowed to `frame_workers` frames
-    /// past the coordinator. Plan units wait on the row watermarks of
-    /// the [`RefView`] snapshots of their references and record their
-    /// events into private batches. The coordinator walks frames in
-    /// order: replays the admission and unit batches canonically into
-    /// `probe`, runs serial Phase B, and publishes each coded
-    /// superblock row into the frame's view (with the deblock filter
-    /// applied incrementally), which is what unblocks the next frames'
-    /// waiting units.
-    ///
-    /// Strict in-order claiming makes the schedule deadlock-free: a
-    /// worker blocked on a watermark holds a task that precedes — in
-    /// claim order — every task the coordinator can be waiting on, and
-    /// its references are frames the coordinator has already published
-    /// or is currently publishing.
-    fn encode_pipelined<P: Probe>(
-        &self,
-        clip: &Clip,
-        probe: &mut P,
-        tile_workers: usize,
-        frame_workers: usize,
-    ) -> Result<EncodeResult, CodecError> {
-        assert!(tile_workers > 0, "need at least one tile worker thread");
-        let (w, h) = clip.dimensions();
-        if w > u16::MAX as usize || h > u16::MAX as usize || clip.frames().len() > u16::MAX as usize
-        {
-            return Err(CodecError::UnsupportedInput {
-                reason: format!(
-                    "clip geometry {w}x{h} x {} frames exceeds header fields",
-                    clip.frames().len()
-                ),
-            });
+    fn with_refs<T>(&self, plan: impl FnOnce(&[&Frame]) -> T) -> T {
+        plan(self)
+    }
+}
+
+/// The row-published reference views of a pooled Phase A, plus the
+/// wall-clock time spent waiting on their watermarks.
+struct ViewRefs<'a> {
+    hub: &'a PipelineHub,
+    last: Option<&'a RefView>,
+    golden: Option<&'a RefView>,
+    stall_ns: Cell<u64>,
+}
+
+impl RefSource for ViewRefs<'_> {
+    fn wait_rows(&self, need: usize) -> bool {
+        let t0 = Instant::now();
+        let ready =
+            [self.last, self.golden].into_iter().flatten().all(|v| v.wait_rows(self.hub, need));
+        self.stall_ns.set(self.stall_ns.get() + t0.elapsed().as_nanos() as u64);
+        ready
+    }
+
+    /// Takes a fresh short read guard per call (one superblock), so the
+    /// coordinator's row publishes interleave with planning instead of
+    /// blocking behind whole units.
+    fn with_refs<T>(&self, plan: impl FnOnce(&[&Frame]) -> T) -> T {
+        let lg = self.last.map(RefView::read);
+        let gg = self.golden.map(RefView::read);
+        match (&lg, &gg) {
+            (Some(l), Some(g)) => plan(&[l.frame(), g.frame()]),
+            (Some(l), None) => plan(&[l.frame()]),
+            _ => plan(&[]),
         }
-        let base_cfg = CoderConfig::from_tools(&self.tools, self.params.crf);
-        let sb = self.tools.superblock;
-        let header = SequenceHeader {
-            codec: self.tools.codec,
-            width: w as u16,
-            height: h as u16,
-            frame_count: clip.frames().len() as u16,
-            fps: clip.fps().round() as u16,
-            qindex: base_cfg.qindex,
-            superblock: sb as u8,
-            min_block: self.tools.min_block as u8,
-            max_depth: self.tools.max_depth as u8,
-            shape_mask: shape_mask(&base_cfg.shapes),
-            mode_mask: mode_mask(&base_cfg.modes),
-            ref_frames: self.tools.ref_frames as u8,
-            keyint: self.params.keyint,
-        };
+    }
+}
 
-        let n = clip.frames().len();
-        let live = probe.is_live();
-        let pw = w.div_ceil(sb) * sb;
-        let ph = h.div_ceil(sb) * sb;
-        let sb_cols = pw / sb;
-        let sb_rows = ph / sb;
-        // Every frame shares the padded geometry, so one layout serves
-        // all of them (identical to the per-frame serial computation).
-        let layout = plan_layout(self.tools.codec, sb_cols, sb_rows);
-        let range = self.tools.me.range;
-        let keyint = self.params.keyint as usize;
-        let is_key = move |f: usize| f == 0 || (keyint > 0 && f.is_multiple_of(keyint));
-        // The golden reference frame `f` reads: the refresh preceding it.
-        let golden_slot = |f: usize| (f.saturating_sub(1) / GOLDEN_INTERVAL) * GOLDEN_INTERVAL;
-
-        let mut slots = Vec::with_capacity(n);
-        for f in 0..n {
-            let golden_view = if self.tools.ref_frames > 1 && f % GOLDEN_INTERVAL == 0 {
-                Some(RefView::new(pw, ph).map_err(CodecError::Video)?)
-            } else {
-                None
-            };
-            slots.push(FrameSlot {
-                admission: Mutex::new(None),
-                adm_ready: AtomicBool::new(false),
-                chains: Mutex::new((0..layout.chains.len()).map(|_| None).collect()),
-                chains_done: AtomicUsize::new(0),
-                view: RefView::new(pw, ph).map_err(CodecError::Video)?,
-                golden_view,
-            });
+/// Phase A for one plan chain: plans its units in canonical order under
+/// `probe`, carrying the motion-vector seed from unit to unit, and hands
+/// each unit's superblock plans to `done` with the probe they were
+/// planned under. Returns `false` when a reference wait was canceled.
+#[allow(clippy::too_many_arguments)]
+fn plan_chain<P: Probe, R: RefSource + ?Sized>(
+    probe: &mut P,
+    tools: &ToolSet,
+    cfg: &CoderConfig,
+    src: &Frame,
+    refs: &R,
+    chain: &PlanChain,
+    scratch: &mut PlanScratch,
+    mut done: impl FnMut(&mut P, &UnitSpan, Vec<NodePlan>),
+) -> bool {
+    let sb = tools.superblock;
+    let (pw, ph) = (src.width(), src.height());
+    let mut seed = MotionVector::ZERO;
+    for unit in &chain.units {
+        if !refs.wait_rows(watermark_need(unit.row, sb, tools.me.range, ph)) {
+            return false;
         }
-
-        // Flat frame-major task list; claims are strictly in this order.
-        let mut pipe_tasks = Vec::with_capacity(n * (1 + layout.chains.len()));
-        for f in 0..n {
-            pipe_tasks.push(PipeTask { frame: f, chain: None });
-            for ci in 0..layout.chains.len() {
-                pipe_tasks.push(PipeTask { frame: f, chain: Some(ci) });
-            }
-        }
-
-        let hub = PipelineHub::new();
-        let depth = frame_workers;
-        let pool = frame_workers.max(tile_workers).min(pipe_tasks.len().max(1));
-
-        let run_admission = |slot: &FrameSlot, f: usize| {
-            let t0 = Instant::now();
-            let src = &clip.frames()[f];
-            let (setup, rc, padded, activity) = if live {
-                let mut local = CountingProbe::new();
-                let mut rec = RecordingProbe::new(&mut local);
-                rec.set_kernel(Kernel::FrameSetup);
-                rec.alu(64);
-                let setup = rec.into_batch();
-                let padded = pad_to_multiple(src, sb);
-                let mut rec = RecordingProbe::new(&mut local);
-                let activity = rate_control_pass(&mut rec, &padded);
-                (setup, rec.into_batch(), padded, activity)
-            } else {
-                let padded = pad_to_multiple(src, sb);
-                let activity = rate_control_pass(&mut NullProbe, &padded);
-                (EventBatch::new(), EventBatch::new(), padded, activity)
-            };
-            let qindex = frame_qindex(base_cfg.qindex, activity, pw * ph);
-            let out = AdmissionOut {
-                padded_src: Arc::new(padded),
-                qindex,
-                setup,
-                rc,
-                busy_ns: t0.elapsed().as_nanos() as u64,
-            };
-            *slot.admission.lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            slot.adm_ready.store(true, Ordering::Release);
-            hub.notify();
-        };
-
-        // Returns false when the pipeline was canceled mid-wait.
-        let run_chain = |slot: &FrameSlot, f: usize, ci: usize, scratch: &mut PlanScratch| {
-            if !hub.wait_until(|| slot.adm_ready.load(Ordering::Acquire)) {
-                return false;
-            }
-            let (padded, qindex) = {
-                let g = slot.admission.lock().unwrap_or_else(|e| e.into_inner());
-                let adm = g.as_ref().expect("admission stored before adm_ready");
-                (Arc::clone(&adm.padded_src), adm.qindex)
-            };
-            let mut cfg = base_cfg.clone();
-            cfg.qindex = qindex;
-            let keyframe = is_key(f);
-            let last_view = if keyframe { None } else { Some(&slots[f - 1].view) };
-            let gold_view = if keyframe || self.tools.ref_frames <= 1 {
-                None
-            } else {
-                Some(
-                    slots[golden_slot(f)]
-                        .golden_view
-                        .as_ref()
-                        .expect("refresh slots carry a golden view"),
-                )
-            };
-            let chain = &layout.chains[ci];
-            let t_total = Instant::now();
-            let mut stall_ns = 0u64;
-            let mut seed = MotionVector::ZERO;
-            let mut local = CountingProbe::new();
-            let mut units = Vec::with_capacity(chain.units.len());
-            for unit in &chain.units {
-                let need = watermark_need(unit.row, sb, range, ph);
-                let t0 = Instant::now();
-                if let Some(v) = last_view {
-                    if !v.wait_rows(&hub, need) {
-                        return false;
-                    }
-                }
-                if let Some(v) = gold_view {
-                    if !v.wait_rows(&hub, need) {
-                        return false;
-                    }
-                }
-                stall_ns += t0.elapsed().as_nanos() as u64;
-                let mut plans = Vec::with_capacity(unit.cols.len());
-                let batch = if live {
-                    let mut rec = RecordingProbe::new(&mut local);
-                    plan_unit_cols(
-                        &mut rec,
-                        &self.tools,
-                        &cfg,
-                        &padded,
-                        last_view,
-                        gold_view,
-                        unit,
-                        (sb, pw, ph),
-                        &mut seed,
-                        scratch,
-                        &mut plans,
-                    );
-                    rec.into_batch()
-                } else {
-                    plan_unit_cols(
-                        &mut NullProbe,
-                        &self.tools,
-                        &cfg,
-                        &padded,
-                        last_view,
-                        gold_view,
-                        unit,
-                        (sb, pw, ph),
-                        &mut seed,
-                        scratch,
-                        &mut plans,
-                    );
-                    EventBatch::new()
-                };
-                units.push(UnitOut { batch, plans });
-            }
-            let busy_ns = (t_total.elapsed().as_nanos() as u64).saturating_sub(stall_ns);
-            {
-                let mut g = slot.chains.lock().unwrap_or_else(|e| e.into_inner());
-                g[ci] = Some(ChainOut { units, stall_ns, busy_ns });
-            }
-            slot.chains_done.fetch_add(1, Ordering::Release);
-            hub.notify();
-            true
-        };
-
-        let worker_loop = || {
-            // A panicking worker must not leave the coordinator (or
-            // other workers) blocked on a watermark forever.
-            let _guard = CancelOnPanic(&hub);
-            let mut scratch = PlanScratch::new();
-            while let Some(ti) = hub.claim(pipe_tasks.len(), depth, |i| pipe_tasks[i].frame) {
-                let task = pipe_tasks[ti];
-                match task.chain {
-                    None => run_admission(&slots[task.frame], task.frame),
-                    Some(ci) => {
-                        if !run_chain(&slots[task.frame], task.frame, ci, &mut scratch) {
-                            break;
-                        }
-                    }
-                }
-            }
-        };
-
-        std::thread::scope(|s| {
-            let worker_loop = &worker_loop;
-            for _ in 0..pool {
-                s.spawn(worker_loop);
-            }
-            // Any coordinator exit — success, error, panic — must
-            // release workers still blocked in the claim window.
-            let _cancel = CancelOnDrop(&hub);
-
-            let mut bitstream = Vec::new();
-            header.write(&mut bitstream);
-            let mut enc = RangeEncoder::new();
-            let mut state = CoderState::new();
-            let mut last_recon: Option<Frame> = None;
-            let mut golden_recon: Option<Frame> = None;
-            let mut frame_bits = Vec::new();
-            let mut frame_psnr = Vec::new();
-            let mut recon_out = Vec::new();
-            let mut tasks = TaskTrace::default();
-            let mut bits_mark = 0u64;
-
-            for (frame_no, slot) in slots.iter().enumerate() {
-                hub.advance(frame_no);
-                let src = &clip.frames()[frame_no];
-                let mut recon = Frame::new(pw, ph).map_err(CodecError::Video)?;
-                let mut frame_trace = FrameTaskTrace::default();
-                let mut pstats = PipelineStats::default();
-
-                if !hub.wait_until(|| slot.adm_ready.load(Ordering::Acquire)) {
-                    return Err(pipeline_canceled());
-                }
-                let (padded_src, qindex) = {
-                    let g = slot.admission.lock().unwrap_or_else(|e| e.into_inner());
-                    let adm = g.as_ref().expect("admission stored before adm_ready");
-                    // The replayed stream reproduces the serial frame
-                    // preamble exactly: setup events, the lookahead
-                    // span (rate control + the signalled quantizer).
-                    adm.setup.replay(probe);
-                    let lookahead_mark = probe.retired();
-                    adm.rc.replay(probe);
-                    enc.encode_literal(probe, adm.qindex as u32, 8);
-                    frame_trace.lookahead = probe.retired() - lookahead_mark;
-                    pstats.busy_ns += adm.busy_ns;
-                    (Arc::clone(&adm.padded_src), adm.qindex)
-                };
-                let mut cfg = base_cfg.clone();
-                cfg.qindex = qindex;
-
-                let is_keyframe = is_key(frame_no);
-                let mut refs: Vec<&Frame> = Vec::new();
-                if !is_keyframe {
-                    if let Some(l) = &last_recon {
-                        refs.push(l);
-                    }
-                    if self.tools.ref_frames > 1 {
-                        if let Some(g) = &golden_recon {
-                            refs.push(g);
-                        }
-                    }
-                }
-                let refs_slice: &[&Frame] = &refs;
-
-                let n_chains = layout.chains.len();
-                if !hub.wait_until(|| slot.chains_done.load(Ordering::Acquire) == n_chains) {
-                    return Err(pipeline_canceled());
-                }
-                let chain_outs = {
-                    let mut g = slot.chains.lock().unwrap_or_else(|e| e.into_inner());
-                    std::mem::take(&mut *g)
-                };
-                let mut plan_grid: Vec<Option<NodePlan>> =
-                    (0..sb_cols * sb_rows).map(|_| None).collect();
-                for (chain, out) in layout.chains.iter().zip(chain_outs) {
-                    let out = out.expect("chain stored before chains_done");
-                    pstats.stall_ns += out.stall_ns;
-                    pstats.busy_ns += out.busy_ns;
-                    for (unit, uout) in chain.units.iter().zip(out.units) {
-                        let mark = probe.retired();
-                        uout.batch.replay(probe);
-                        frame_trace.plan_units.push(PlanUnit {
-                            tile: unit.tile,
-                            row: unit.row,
-                            chunk: unit.chunk,
-                            cost: probe.retired() - mark,
-                        });
-                        for (col, plan) in unit.cols.clone().zip(uout.plans) {
-                            plan_grid[unit.row * sb_cols + col] = Some(plan);
-                        }
-                    }
-                }
-                let mut row_plan_cost = vec![0u64; sb_rows];
-                for u in &frame_trace.plan_units {
-                    row_plan_cost[u.row] += u.cost;
-                }
-                frame_trace.pipeline = pstats;
-
-                // Publish only views someone will read: the next frame
-                // (unless it is intra-only) or the golden snapshot this
-                // refresh frame feeds.
-                let publish_view =
-                    slot.golden_view.is_some() || (frame_no + 1 < n && !is_key(frame_no + 1));
-                let qstep = qindex_to_qstep(cfg.qindex);
-                for row in 0..sb_rows {
-                    let code_mark = probe.retired();
-                    let sy = row * sb;
-                    for col in 0..sb_cols {
-                        let sx = col * sb;
-                        let rect =
-                            crate::blocks::BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
-                        let plan = plan_grid[row * sb_cols + col]
-                            .take()
-                            .expect("every superblock planned");
-                        let info = code_superblock(
-                            probe,
-                            &self.tools,
-                            &cfg,
-                            &padded_src,
-                            refs_slice,
-                            &plan,
-                            &mut enc,
-                            &mut state,
-                            &mut recon,
-                        );
-                        code_sb_chroma(
-                            probe,
-                            &cfg,
-                            &padded_src,
-                            refs_slice,
-                            rect,
-                            &info,
-                            &mut enc,
-                            &mut state,
-                            &mut recon,
-                        );
-                    }
-                    frame_trace.sb_rows.push(row_plan_cost[row] + (probe.retired() - code_mark));
-                    if publish_view {
-                        slot.view.publish(
-                            &hub,
-                            recon.luma(),
-                            (row + 1) * sb,
-                            qstep,
-                            slot.golden_view.as_ref(),
-                        );
-                    }
-                }
-
-                let filter_mark = probe.retired();
-                deblock_plane(probe, recon.luma_mut(), 8, qstep);
-                deblock_plane(probe, recon.cb_mut(), 4, qstep);
-                deblock_plane(probe, recon.cr_mut(), 4, qstep);
-                frame_trace.filter = probe.retired() - filter_mark;
-                tasks.frames.push(frame_trace);
-
-                let bits_now = enc.bits_written();
-                frame_bits.push(bits_now - bits_mark);
-                bits_mark = bits_now;
-                frame_psnr.push(region_psnr(src, &recon, w, h));
-                recon_out.push(crop(&recon, w, h)?);
-                recon.luma_mut().pad_borders();
-                recon.cb_mut().pad_borders();
-                recon.cr_mut().pad_borders();
-                if publish_view {
-                    debug_assert_eq!(
-                        slot.view.read().frame().luma(),
-                        recon.luma(),
-                        "published view must equal the deblocked reconstruction"
-                    );
-                }
-                if frame_no % GOLDEN_INTERVAL == 0 {
-                    let mut golden = recon.clone();
-                    if let Some(gv) = &slot.golden_view {
-                        // Phase A read the golden snapshot's pages; the
-                        // Phase B clone must be the same buffer as far
-                        // as the probes are concerned — exactly as both
-                        // phases read the single clone under serial
-                        // execution.
-                        golden.luma_mut().adopt_probe_identity(gv.read().frame().luma());
-                    }
-                    golden_recon = Some(golden);
-                }
-                last_recon = Some(recon);
-            }
-
-            let payload = enc.finish();
-            if let Some(last) = frame_bits.last_mut() {
-                *last += (payload.len() as u64 * 8).saturating_sub(bits_mark)
-                    + SequenceHeader::BYTES as u64 * 8;
-            }
-            bitstream.extend_from_slice(&payload);
-
-            let total_bits: u64 = frame_bits.iter().sum();
-            let kbps = vstress_video::metrics::bitrate_kbps(total_bits, n, clip.fps());
-            Ok(EncodeResult {
-                bitstream,
-                frame_bits,
-                frame_psnr,
-                recon: recon_out,
-                bitrate_kbps: kbps,
-                tasks,
-                bit_accounting: state.bits,
+        let sy = unit.row * sb;
+        let plans = unit
+            .cols
+            .clone()
+            .map(|col| {
+                let sx = col * sb;
+                let rect = BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
+                refs.with_refs(|r| {
+                    plan_superblock(probe, tools, cfg, src, r, rect, &mut seed, scratch)
+                })
             })
-        })
+            .collect();
+        done(probe, unit, plans);
     }
+    true
 }
 
-/// One scheduled pipeline task: a frame's admission (`chain: None`) or
-/// one of its plan chains.
-#[derive(Clone, Copy)]
-struct PipeTask {
-    frame: usize,
-    chain: Option<usize>,
-}
-
-/// Frame admission, produced on a pipeline worker: the padded source,
-/// the chosen quantizer, and the recorded preamble events the
+/// Frame admission, produced on a pool worker: the padded source, the
+/// chosen quantizer, and the recorded rate-control events the
 /// coordinator replays in canonical position.
-struct AdmissionOut {
+struct Admission {
     padded_src: Arc<Frame>,
     qindex: u8,
-    /// Frame-setup events (before the lookahead mark).
-    setup: EventBatch,
-    /// Rate-control pass events (inside the lookahead span).
     rc: EventBatch,
     busy_ns: u64,
 }
@@ -888,10 +584,9 @@ struct ChainOut {
     busy_ns: u64,
 }
 
-/// Shared per-frame pipeline state (results + reference views).
+/// Shared per-frame pool state (results + reference views).
 struct FrameSlot {
-    admission: Mutex<Option<AdmissionOut>>,
-    adm_ready: AtomicBool,
+    admission: OnceLock<Admission>,
     chains: Mutex<Vec<Option<ChainOut>>>,
     chains_done: AtomicUsize,
     view: RefView,
@@ -901,207 +596,224 @@ struct FrameSlot {
     golden_view: Option<RefView>,
 }
 
+/// The Phase A worker pool of every encode but the inline one.
+///
+/// Workers claim tasks — per frame, one admission and then one task per
+/// plan chain — strictly in frame-major order through the
+/// [`PipelineHub`], windowed to `depth` frames past the frame the
+/// coordinator is coding. Plan chains wait on the row watermarks of
+/// their references' [`RefView`]s and record their events into private
+/// batches; the coordinator replays them canonically and publishes each
+/// coded superblock row, which is what unblocks the waiting chains.
+struct Pool<'a> {
+    enc: &'a Encoder,
+    clip: &'a Clip,
+    layout: &'a PlanLayout,
+    base_cfg: CoderConfig,
+    hub: PipelineHub,
+    slots: Vec<FrameSlot>,
+    /// Frames Phase A may run ahead of Phase B: `frame_workers - 1`.
+    depth: usize,
+    /// Task count: per frame, one admission plus one per plan chain.
+    tasks: usize,
+    /// Whether the caller's probe observes events (otherwise workers plan
+    /// under dead probes and record nothing).
+    live: bool,
+}
+
+impl<'a> Pool<'a> {
+    fn new(
+        enc: &'a Encoder,
+        clip: &'a Clip,
+        (pw, ph): (usize, usize),
+        layout: &'a PlanLayout,
+        depth: usize,
+        live: bool,
+    ) -> Result<Self, CodecError> {
+        let n = clip.frames().len();
+        let mut slots = Vec::with_capacity(n);
+        for f in 0..n {
+            let refresh = enc.tools.ref_frames > 1 && f % GOLDEN_INTERVAL == 0;
+            slots.push(FrameSlot {
+                admission: OnceLock::new(),
+                chains: Mutex::new((0..layout.chains.len()).map(|_| None).collect()),
+                chains_done: AtomicUsize::new(0),
+                view: RefView::new(pw, ph).map_err(CodecError::Video)?,
+                golden_view: refresh
+                    .then(|| RefView::new(pw, ph))
+                    .transpose()
+                    .map_err(CodecError::Video)?,
+            });
+        }
+        Ok(Pool {
+            enc,
+            clip,
+            layout,
+            base_cfg: CoderConfig::from_tools(&enc.tools, enc.params.crf),
+            hub: PipelineHub::new(),
+            slots,
+            depth,
+            tasks: n * (1 + layout.chains.len()),
+            live,
+        })
+    }
+
+    /// A worker thread: claims and runs tasks until none are left or the
+    /// pipeline is canceled.
+    fn work(&self) {
+        // A panicking worker must not leave the coordinator (or other
+        // workers) blocked on a watermark forever.
+        let _guard = CancelOnPanic(&self.hub);
+        let mut scratch = PlanScratch::new();
+        let per_frame = 1 + self.layout.chains.len();
+        while let Some(i) = self.hub.claim(self.tasks, self.depth, |i| i / per_frame) {
+            let (f, task) = (i / per_frame, i % per_frame);
+            if task == 0 {
+                self.admit_task(f);
+            } else if !self.plan_task(f, task - 1, &mut scratch) {
+                break;
+            }
+        }
+    }
+
+    /// Runs frame `f`'s admission, recording its rate-control events.
+    fn admit_task(&self, f: usize) {
+        let t0 = Instant::now();
+        let (src, sb, base_q) =
+            (&self.clip.frames()[f], self.enc.tools.superblock, self.base_cfg.qindex);
+        let ((padded_src, qindex), rc) = if self.live {
+            let mut local = CountingProbe::new();
+            let mut rec = RecordingProbe::new(&mut local);
+            (admit(&mut rec, src, sb, base_q), rec.into_batch())
+        } else {
+            (admit(&mut NullProbe, src, sb, base_q), EventBatch::new())
+        };
+        let busy_ns = t0.elapsed().as_nanos() as u64;
+        let stored = self.slots[f].admission.set(Admission { padded_src, qindex, rc, busy_ns });
+        assert!(stored.is_ok(), "each admission is claimed once");
+        self.hub.notify();
+    }
+
+    /// Runs plan chain `ci` of frame `f`; `false` when the pipeline was
+    /// canceled under it.
+    fn plan_task(&self, f: usize, ci: usize, scratch: &mut PlanScratch) -> bool {
+        let slot = &self.slots[f];
+        if !self.hub.wait_until(|| slot.admission.get().is_some()) {
+            return false;
+        }
+        let adm = slot.admission.get().expect("admission stored before the wait returns");
+        let mut cfg = self.base_cfg.clone();
+        cfg.qindex = adm.qindex;
+        let keyframe = self.enc.is_keyframe(f);
+        // The golden reference frame `f` reads: the refresh preceding it.
+        let golden_slot = (f.saturating_sub(1) / GOLDEN_INTERVAL) * GOLDEN_INTERVAL;
+        let refs = ViewRefs {
+            hub: &self.hub,
+            last: (!keyframe).then(|| &self.slots[f - 1].view),
+            golden: (!keyframe && self.enc.tools.ref_frames > 1).then(|| {
+                self.slots[golden_slot]
+                    .golden_view
+                    .as_ref()
+                    .expect("refresh slots carry a golden view")
+            }),
+            stall_ns: Cell::new(0),
+        };
+        let chain = &self.layout.chains[ci];
+        let t0 = Instant::now();
+        let mut units = Vec::with_capacity(chain.units.len());
+        let (tools, src) = (&self.enc.tools, &*adm.padded_src);
+        let complete = if self.live {
+            let mut local = CountingProbe::new();
+            let mut rec = RecordingProbe::new(&mut local);
+            plan_chain(&mut rec, tools, &cfg, src, &refs, chain, scratch, |rec, _, plans| {
+                units.push(UnitOut { batch: rec.take_batch(), plans });
+            })
+        } else {
+            plan_chain(&mut NullProbe, tools, &cfg, src, &refs, chain, scratch, |_, _, plans| {
+                units.push(UnitOut { batch: EventBatch::new(), plans });
+            })
+        };
+        if !complete {
+            return false;
+        }
+        let stall_ns = refs.stall_ns.get();
+        let busy_ns = (t0.elapsed().as_nanos() as u64).saturating_sub(stall_ns);
+        slot.chains.lock().unwrap_or_else(|e| e.into_inner())[ci] =
+            Some(ChainOut { units, stall_ns, busy_ns });
+        slot.chains_done.fetch_add(1, Ordering::Release);
+        self.hub.notify();
+        true
+    }
+
+    /// Waits for frame `f`'s admission and replays its rate-control
+    /// events into `probe`.
+    fn admitted<P: Probe>(
+        &self,
+        f: usize,
+        probe: &mut P,
+        stats: &mut PipelineStats,
+    ) -> Result<(Arc<Frame>, u8), CodecError> {
+        let slot = &self.slots[f];
+        if !self.hub.wait_until(|| slot.admission.get().is_some()) {
+            return Err(pipeline_canceled());
+        }
+        let adm = slot.admission.get().expect("admission stored before the wait returns");
+        adm.rc.replay(probe);
+        stats.busy_ns += adm.busy_ns;
+        Ok((Arc::clone(&adm.padded_src), adm.qindex))
+    }
+
+    /// Waits for all of frame `f`'s plan chains, then replays their units
+    /// into `probe` in canonical order, handing each unit's span, cost
+    /// and plans to `accept`.
+    fn planned<P: Probe>(
+        &self,
+        f: usize,
+        probe: &mut P,
+        stats: &mut PipelineStats,
+        mut accept: impl FnMut(&UnitSpan, u64, Vec<NodePlan>),
+    ) -> Result<(), CodecError> {
+        let slot = &self.slots[f];
+        let n_chains = self.layout.chains.len();
+        if !self.hub.wait_until(|| slot.chains_done.load(Ordering::Acquire) == n_chains) {
+            return Err(pipeline_canceled());
+        }
+        let outs = std::mem::take(&mut *slot.chains.lock().unwrap_or_else(|e| e.into_inner()));
+        for (chain, out) in self.layout.chains.iter().zip(outs) {
+            let out = out.expect("chain stored before chains_done");
+            stats.stall_ns += out.stall_ns;
+            stats.busy_ns += out.busy_ns;
+            for (unit, u) in chain.units.iter().zip(out.units) {
+                let mark = probe.retired();
+                u.batch.replay(probe);
+                accept(unit, probe.retired() - mark, u.plans);
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether frame `f`'s view has a reader: the next frame (unless it
+    /// is intra-only) or the golden snapshot this refresh frame feeds.
+    fn publishes(&self, f: usize) -> bool {
+        let slot = &self.slots[f];
+        slot.golden_view.is_some() || (f + 1 < self.slots.len() && !self.enc.is_keyframe(f + 1))
+    }
+
+    /// Publishes frame `f`'s first `coded` reconstruction rows to the
+    /// planners waiting on them.
+    fn publish(&self, f: usize, recon_luma: &Plane, coded: usize, qstep: i32) {
+        if self.publishes(f) {
+            let slot = &self.slots[f];
+            slot.view.publish(&self.hub, recon_luma, coded, qstep, slot.golden_view.as_ref());
+        }
+    }
+}
+
 /// The pipeline was canceled under the coordinator: only reachable when
 /// a worker panicked (its panic is rethrown when the thread scope
 /// joins, superseding this error).
 fn pipeline_canceled() -> CodecError {
     CodecError::UnsupportedInput { reason: "frame pipeline canceled".to_owned() }
-}
-
-/// Plans one unit's superblock span against the reference *views*,
-/// taking a fresh short read guard per superblock so the coordinator's
-/// row publishes interleave with planning instead of blocking behind
-/// whole units.
-#[allow(clippy::too_many_arguments)]
-fn plan_unit_cols<P: Probe>(
-    probe: &mut P,
-    tools: &ToolSet,
-    cfg: &CoderConfig,
-    src: &Frame,
-    last_view: Option<&RefView>,
-    gold_view: Option<&RefView>,
-    unit: &UnitSpan,
-    (sb, pw, ph): (usize, usize, usize),
-    seed: &mut MotionVector,
-    scratch: &mut PlanScratch,
-    plans: &mut Vec<NodePlan>,
-) {
-    for col in unit.cols.clone() {
-        let sx = col * sb;
-        let sy = unit.row * sb;
-        let rect = crate::blocks::BlockRect::new(sx, sy, sb.min(pw - sx), sb.min(ph - sy));
-        let lg = last_view.map(|v| v.read());
-        let gg = gold_view.map(|v| v.read());
-        let lf = lg.as_ref().map(|g| g.frame());
-        let gf = gg.as_ref().map(|g| g.frame());
-        let storage;
-        let refs: &[&Frame] = match (lf, gf) {
-            (Some(l), Some(g)) => {
-                storage = [l, g];
-                &storage
-            }
-            (Some(l), None) => {
-                // The second element is never read.
-                storage = [l, l];
-                &storage[..1]
-            }
-            _ => &[],
-        };
-        plans.push(plan_superblock(probe, tools, cfg, src, refs, rect, seed, scratch));
-    }
-}
-
-/// Runs Phase A for one frame: plans every superblock, unit by unit
-/// along the layout's chains, and returns the plans (raster-indexed)
-/// plus the measured per-unit costs in canonical order.
-///
-/// Serial execution (one worker, or a single chain) runs the units in
-/// canonical order directly against `probe` — the stream that *defines*
-/// the merge contract. Parallel execution records each unit into a
-/// private [`EventBatch`](vstress_trace::EventBatch) on its worker (a
-/// live thread-local probe, so the leaf memo stays bypassed exactly as
-/// under a live serial probe) and replays the batches into `probe` in
-/// canonical order. Unit costs are retired-counter deltas — a pure
-/// additive function of the event stream — so both paths measure
-/// identical values.
-#[allow(clippy::too_many_arguments)]
-fn plan_frame<P: Probe>(
-    probe: &mut P,
-    tools: &ToolSet,
-    cfg: &CoderConfig,
-    src: &Frame,
-    refs: &[&Frame],
-    layout: &PlanLayout,
-    (sb_cols, sb_rows): (usize, usize),
-    tile_workers: usize,
-    scratch: &mut PlanScratch,
-) -> Result<(Vec<Option<NodePlan>>, Vec<PlanUnit>), CodecError> {
-    let sb = tools.superblock;
-    let (pw, ph) = (src.width(), src.height());
-    let rect_of = |col: usize, row: usize| {
-        crate::blocks::BlockRect::new(
-            col * sb,
-            row * sb,
-            sb.min(pw - col * sb),
-            sb.min(ph - row * sb),
-        )
-    };
-    let mut grid: Vec<Option<NodePlan>> = (0..sb_cols * sb_rows).map(|_| None).collect();
-    let mut units: Vec<PlanUnit> = Vec::with_capacity(layout.chains.len());
-
-    if tile_workers <= 1 || layout.chains.len() <= 1 {
-        for chain in &layout.chains {
-            let mut seed = MotionVector::ZERO;
-            for unit in &chain.units {
-                let mark = probe.retired();
-                for col in unit.cols.clone() {
-                    let plan = plan_superblock(
-                        probe,
-                        tools,
-                        cfg,
-                        src,
-                        refs,
-                        rect_of(col, unit.row),
-                        &mut seed,
-                        scratch,
-                    );
-                    grid[unit.row * sb_cols + col] = Some(plan);
-                }
-                units.push(PlanUnit {
-                    tile: unit.tile,
-                    row: unit.row,
-                    chunk: unit.chunk,
-                    cost: probe.retired() - mark,
-                });
-            }
-        }
-        return Ok((grid, units));
-    }
-
-    let workers = tile_workers.min(layout.chains.len());
-    if probe.is_live() {
-        // Record every unit on its worker, then merge canonically.
-        let per_chain = run_ordered(layout.chains.len(), workers, |ci| {
-            let chain = &layout.chains[ci];
-            let mut local = CountingProbe::new();
-            let mut scratch = PlanScratch::new();
-            let mut seed = MotionVector::ZERO;
-            let mut out = Vec::with_capacity(chain.units.len());
-            for unit in &chain.units {
-                let mut rec = RecordingProbe::new(&mut local);
-                let mut plans = Vec::with_capacity(unit.cols.len());
-                for col in unit.cols.clone() {
-                    plans.push(plan_superblock(
-                        &mut rec,
-                        tools,
-                        cfg,
-                        src,
-                        refs,
-                        rect_of(col, unit.row),
-                        &mut seed,
-                        &mut scratch,
-                    ));
-                }
-                out.push((rec.into_batch(), plans));
-            }
-            Ok::<_, CodecError>(out)
-        })?;
-        for (chain, chain_out) in layout.chains.iter().zip(per_chain) {
-            for (unit, (batch, plans)) in chain.units.iter().zip(chain_out) {
-                let mark = probe.retired();
-                batch.replay(probe);
-                units.push(PlanUnit {
-                    tile: unit.tile,
-                    row: unit.row,
-                    chunk: unit.chunk,
-                    cost: probe.retired() - mark,
-                });
-                for (col, plan) in unit.cols.clone().zip(plans) {
-                    grid[unit.row * sb_cols + col] = Some(plan);
-                }
-            }
-        }
-    } else {
-        // Dead probe: nothing downstream observes events, so skip the
-        // recording entirely — each worker plans under its own dead
-        // probe (the leaf memo is active on both the serial path and
-        // this one, and memoization is exact, so the plans are identical
-        // either way) and unit costs stay zero, matching the serial
-        // retired deltas under a dead probe.
-        let per_chain = run_ordered(layout.chains.len(), workers, |ci| {
-            let chain = &layout.chains[ci];
-            let mut null = NullProbe;
-            let mut scratch = PlanScratch::new();
-            let mut seed = MotionVector::ZERO;
-            let mut out = Vec::with_capacity(chain.units.len());
-            for unit in &chain.units {
-                let mut plans = Vec::with_capacity(unit.cols.len());
-                for col in unit.cols.clone() {
-                    plans.push(plan_superblock(
-                        &mut null,
-                        tools,
-                        cfg,
-                        src,
-                        refs,
-                        rect_of(col, unit.row),
-                        &mut seed,
-                        &mut scratch,
-                    ));
-                }
-                out.push(plans);
-            }
-            Ok::<_, CodecError>(out)
-        })?;
-        for (chain, chain_out) in layout.chains.iter().zip(per_chain) {
-            for (unit, plans) in chain.units.iter().zip(chain_out) {
-                units.push(PlanUnit { tile: unit.tile, row: unit.row, chunk: unit.chunk, cost: 0 });
-                for (col, plan) in unit.cols.clone().zip(plans) {
-                    grid[unit.row * sb_cols + col] = Some(plan);
-                }
-            }
-        }
-    }
-    Ok((grid, units))
 }
 
 /// Frames between golden-reference refreshes.
@@ -1367,12 +1079,30 @@ mod tests {
 
     #[test]
     fn oversized_clip_is_rejected() {
-        // Construct a fake-long clip by lying about geometry through the
-        // public API: 70k frames is unrepresentable.
         let frames = vec![Frame::new(16, 16).unwrap(); 2];
         let clip = Clip::from_frames("tiny", frames, 30.0).unwrap();
+        // 65536 is a valid plane width but overflows the header's 16-bit
+        // width field.
+        let wide = Clip::from_frames("wide", vec![Frame::new(1 << 16, 2).unwrap()], 30.0).unwrap();
         let enc = Encoder::new(CodecId::X264, EncoderParams::new(20, 5)).unwrap();
-        // Valid here; the rejection path is covered by geometry math.
         assert!(enc.encode(&clip, &mut NullProbe).is_ok());
+        assert!(matches!(
+            enc.encode(&wide, &mut NullProbe),
+            Err(CodecError::UnsupportedInput { .. })
+        ));
+        // The one geometry check guards every worker combination.
+        for (tile_workers, frame_workers) in [(4, 1), (2, 2)] {
+            let ctx = format!("{tile_workers}x{frame_workers}");
+            assert!(enc
+                .encode_threaded(&clip, &mut NullProbe, tile_workers, frame_workers)
+                .is_ok());
+            assert!(
+                matches!(
+                    enc.encode_threaded(&wide, &mut NullProbe, tile_workers, frame_workers),
+                    Err(CodecError::UnsupportedInput { .. })
+                ),
+                "{ctx}: oversized clip must be rejected"
+            );
+        }
     }
 }

@@ -1,13 +1,19 @@
 //! Cross-frame pipeline scheduling: reference-row watermarks, snapshot
 //! reference views, and the shared claim/notify hub.
 //!
-//! The pipelined encoder ([`Encoder::encode_threaded`]
-//! (crate::encoder::Encoder::encode_threaded)) overlaps frame `N+1`'s
-//! Phase A (lookahead, motion search, RDO) with frame `N`'s Phase B
-//! (serial range coding). Phase A of frame `N+1` reads frame `N`'s
-//! reconstruction — which Phase B is still writing — so each reference
-//! is published through a [`RefView`]: a snapshot buffer the coordinator
-//! copies finalized reconstruction rows into, guarded by a row-granular
+//! Every encode except the inline one-tile, one-frame-worker case
+//! ([`Encoder::encode_threaded`]
+//! (crate::encoder::Encoder::encode_threaded)) runs Phase A (lookahead,
+//! motion search, RDO) on a worker pool scheduled through this module,
+//! while the calling thread — the coordinator — runs each frame's
+//! Phase B (serial range coding). With `frame_workers = N`, `N` frames
+//! are in flight: workers claim tasks up to depth `N - 1` frames past
+//! the one being coded, so `N = 1` is tile parallelism alone and
+//! `N >= 2` overlaps frame `F+1`'s Phase A with frame `F`'s Phase B.
+//! Phase A of frame `F+1` reads frame `F`'s reconstruction — which
+//! Phase B may still be writing — so each reference is published
+//! through a [`RefView`]: a snapshot buffer the coordinator copies
+//! finalized reconstruction rows into, guarded by a row-granular
 //! watermark that plan workers wait on before reading their band.
 //!
 //! Three invariants make the overlap invisible to every output:
@@ -35,12 +41,13 @@
 //!
 //! The hub itself is a single mutex/condvar pair: workers claim tasks
 //! strictly in canonical (frame-major) order, which makes the schedule
-//! deadlock-free by construction — a worker blocked on a watermark
-//! always holds a task that precedes, in claim order, everything the
-//! coordinator is waiting on, and its references were fully published
-//! before the coordinator started waiting. Steady-state scheduling
-//! (claims, watermark waits, row publishes) performs no heap
-//! allocation; `tests/alloc_regression.rs` pins that.
+//! deadlock-free by construction. The coordinator only ever waits on
+//! tasks of the frame it is coding; those read fully published
+//! references, so they never block, and in-order claiming means each
+//! was claimed — by a worker that runs it to completion — before any
+//! later task. Steady-state scheduling (claims, watermark waits, row
+//! publishes) performs no heap allocation; `tests/alloc_regression.rs`
+//! pins that.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};

@@ -10,13 +10,14 @@
 //! perform **zero** heap allocations.
 //!
 //! The counter wraps the system allocator for this whole test binary,
-//! which is why the tests live in their own integration-test file; a
-//! shared lock keeps the measurement windows from overlapping when the
-//! harness runs tests on parallel threads.
+//! which is why the tests live in their own integration-test file. It
+//! counts per thread, so allocations on the harness's other threads
+//! (test spawns, output capture) never land in a measurement window; a
+//! shared lock still runs the tests one at a time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use vstress_codecs::blocks::BlockRect;
 use vstress_codecs::mc::MotionVector;
@@ -26,11 +27,25 @@ use vstress_video::Plane;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialized with no
+    /// destructor, so the allocator may touch it at any point of a
+    /// thread's life.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -39,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -47,10 +62,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests: each one measures a window of the shared
-/// counter, so another test's warm-up allocations must not land inside
-/// it.
+/// Runs the tests one at a time. Taken through [`serial`], which
+/// tolerates poisoning: one failed test must not fail the others.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn textured_plane(seed: u64) -> Plane {
     let mut p = Plane::new(128, 128, 0).unwrap();
@@ -66,7 +84,7 @@ fn textured_plane(seed: u64) -> Plane {
 
 #[test]
 fn motion_search_is_allocation_free_after_warmup() {
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
     let cur = textured_plane(1);
     let refp = textured_plane(2);
     let settings = MeSettings { range: 24, exhaustive_radius: 4, refine_steps: 12, subpel: true };
@@ -92,7 +110,7 @@ fn motion_search_is_allocation_free_after_warmup() {
         &mut scratch,
     );
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for &rect in &rects {
         let r = motion_search(
             &mut probe,
@@ -116,7 +134,7 @@ fn motion_search_is_allocation_free_after_warmup() {
             &mut scratch,
         );
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(after - before, 0, "motion search allocated {} times after warm-up", after - before);
 }
 
@@ -134,7 +152,7 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
     use vstress_pipeline::CoreModel;
     use vstress_trace::{Kernel, Probe, ProbeEvent};
 
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
 
     // A mixed stream shaped like real encoder output: kernel switches,
     // compute bursts, strided loads sweeping far past L2 (demand misses
@@ -181,10 +199,10 @@ fn simulation_event_path_is_allocation_free_in_steady_state() {
     model.drain_batch(&events);
     drive_hierarchy(&mut hier);
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     model.drain_batch(&events);
     drive_hierarchy(&mut hier);
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -207,7 +225,7 @@ fn frame_pipeline_scheduler_is_allocation_free_in_steady_state() {
     use vstress_codecs::frame_pipeline::{PipelineHub, RefView};
     use vstress_video::Frame;
 
-    let _serial = SERIAL.lock().unwrap();
+    let _serial = serial();
 
     let (pw, ph) = (64usize, 64usize);
     let hub = PipelineHub::new();
@@ -233,7 +251,7 @@ fn frame_pipeline_scheduler_is_allocation_free_in_steady_state() {
     let depth = 2usize;
     let frame_of = |i: usize| i / 3;
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
 
     // Claims stay inside the window the coordinator advances, so the
     // single-threaded drain below never parks on the condvar.
@@ -262,7 +280,7 @@ fn frame_pipeline_scheduler_is_allocation_free_in_steady_state() {
     }
     hub.notify();
 
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

@@ -7,7 +7,7 @@
 //! vstress-repro --csv out/         # also write each table as CSV into out/
 //! vstress-repro --threads 4        # size of the encode worker pool
 //! vstress-repro --tile-workers 4   # intra-encode tile/wavefront threads
-//! vstress-repro --frame-workers 4  # cross-frame pipeline depth
+//! vstress-repro --frame-workers 4  # frames in flight per encode
 //! vstress-repro --store cache/     # persist results; repeat runs resume
 //! vstress-repro --time             # per-experiment wall clock on stderr
 //! vstress-repro fig01 fig05        # subset of experiments
@@ -41,7 +41,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::value("--csv", "DIR", "also write each table as CSV into DIR"),
     FlagSpec::value("--threads", "N", "encode worker pool size (positive)"),
     FlagSpec::value("--tile-workers", "N", "tile/wavefront threads per encode (positive)"),
-    FlagSpec::value("--frame-workers", "N", "cross-frame pipeline depth per encode (positive)"),
+    FlagSpec::value("--frame-workers", "N", "frames in flight per encode (positive)"),
     FlagSpec::value("--store", "DIR", "persist results; repeat runs resume"),
     FlagSpec::switch("--no-store", "disable the store (wins over --store)"),
 ];

@@ -32,7 +32,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec::value("--jobs", "N", "jobs to offer (default 32)"),
     FlagSpec::value("--workers", "N", "encode worker pool size (default: cores)"),
     FlagSpec::value("--tile-workers", "N", "tile/wavefront threads per encode (default 1)"),
-    FlagSpec::value("--frame-workers", "N", "cross-frame pipeline depth per encode (default 1)"),
+    FlagSpec::value("--frame-workers", "N", "frames in flight per encode (default 1)"),
     FlagSpec::value("--queue-cap", "N", "ingress queue capacity (default 16)"),
     FlagSpec::value("--stage-cap", "N", "interior queue capacity (default 16)"),
     FlagSpec::switch("--reject", "shed jobs when ingress is full (default: block)"),

@@ -73,7 +73,7 @@ pub struct ExperimentConfig {
     /// is purely a wall-clock knob.
     pub tile_workers: usize,
     /// Frame workers per encode (`RunSpec::frame_workers`): the
-    /// cross-frame pipeline depth. Results are byte-identical at any
+    /// frames in flight per encode. Results are byte-identical at any
     /// value (the probe-merge contract), so this too is purely a
     /// wall-clock knob.
     pub frame_workers: usize,

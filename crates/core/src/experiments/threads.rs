@@ -3,9 +3,9 @@
 //! Instrumented encodes produce per-stage task costs
 //! ([`vstress_codecs::taskgraph::TaskTrace`]), including the *measured*
 //! per-unit costs of the tile/wavefront plan tasks the encoder actually
-//! executed (`FrameTaskTrace::plan_units`, recorded by
-//! `Encoder::encode_with` whether the run used one tile worker or
-//! many); each codec's threading structure
+//! executed (`FrameTaskTrace::plan_units`, recorded by the one frame
+//! loop of `Encoder::encode_threaded` at any tile- and frame-worker
+//! count); each codec's threading structure
 //! ([`vstress_codecs::taskgraph::plan_layout`] plus the per-codec graph
 //! builders) turns them into a dependency graph; `vstress-sched`
 //! schedules the graph on 1..=N cores. The divergent curves — SVT-AV1

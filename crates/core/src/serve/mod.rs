@@ -92,7 +92,7 @@ pub struct ServeConfig {
     /// parallelism from across-job to within-job.
     pub tile_workers: usize,
     /// Frame workers per encode ([`RunSpec::frame_workers`]): the
-    /// cross-frame pipeline depth inside each encode worker. Also
+    /// frames in flight inside each encode worker. Also
     /// worker-count invariant on every deterministic output; purely a
     /// wall-clock knob.
     pub frame_workers: usize,

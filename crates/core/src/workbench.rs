@@ -28,7 +28,7 @@ pub struct RunSpec {
     /// `false`, only the instruction mix is gathered — roughly 3x faster.
     pub model_pipeline: bool,
     /// Worker threads for the intra-encode tile/wavefront decomposition
-    /// (`Encoder::encode_with`). The result is worker-count invariant —
+    /// (`Encoder::encode_threaded`). The result is worker-count invariant —
     /// bitstream, measurements, and probe stream are byte-identical at
     /// any value — so this field is deliberately **excluded** from the
     /// run cache key and the store key.

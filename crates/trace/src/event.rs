@@ -135,6 +135,12 @@ impl<'a, P: Probe> RecordingProbe<'a, P> {
     pub fn into_batch(self) -> EventBatch {
         self.batch
     }
+
+    /// Returns the events captured so far and keeps recording into a
+    /// fresh batch — cuts one wrapped stream into consecutive batches.
+    pub fn take_batch(&mut self) -> EventBatch {
+        std::mem::take(&mut self.batch)
+    }
 }
 
 impl<P: Probe> Probe for RecordingProbe<'_, P> {
@@ -220,6 +226,19 @@ mod tests {
         assert_eq!(batch.len(), 7);
         assert_eq!(batch.events()[0], ProbeEvent::SetKernel(Kernel::Sad));
         assert_eq!(batch.events()[4], ProbeEvent::Store { addr: 0x2000, bytes: 8 });
+    }
+
+    #[test]
+    fn take_batch_cuts_the_stream_into_consecutive_batches() {
+        let mut counting = CountingProbe::new();
+        let mut rec = RecordingProbe::new(&mut counting);
+        drive(&mut rec);
+        let first = rec.take_batch();
+        drive(&mut rec);
+        let second = rec.into_batch();
+        assert_eq!(first.len(), 7);
+        assert_eq!(first, second, "each cut holds only the events since the last one");
+        assert_eq!(counting.retired(), 18, "cutting never interrupts forwarding");
     }
 
     #[test]

@@ -11,89 +11,11 @@
 //! segments, x26x wavefront chunks, libaom/vp9 tile groups — more than
 //! one chain to race.
 
-use std::collections::HashMap;
+mod common;
+
+use common::{awkward_clip, canonicalize, recorded_encode, Lcg};
 use vstress::codecs::{CodecId, EncoderParams};
 use vstress_codecs::Encoder;
-use vstress_trace::{CountingProbe, EventBatch, Probe, ProbeEvent, RecordingProbe};
-use vstress_video::synth::{SceneClass, SynthParams};
-use vstress_video::Clip;
-
-/// Canonicalizes data addresses by first-touch page renaming — the same
-/// remap the pipeline model applies. The synthetic allocator
-/// (`probe_addr::alloc`) hands every plane a fresh page base from a
-/// process-global counter, so two encodes in one process differ by page
-/// *bases* while agreeing on page structure and sub-page offsets; after
-/// renaming, equal streams mean equal memory behaviour. Branch PCs and
-/// every non-memory event are compared verbatim.
-fn canonicalize(batch: &EventBatch) -> Vec<ProbeEvent> {
-    const PAGE_SHIFT: u64 = 12;
-    let mut pages: HashMap<u64, u64> = HashMap::new();
-    let mut rename = |addr: u64| -> u64 {
-        let next = pages.len() as u64;
-        let id = *pages.entry(addr >> PAGE_SHIFT).or_insert(next);
-        (id << PAGE_SHIFT) | (addr & ((1 << PAGE_SHIFT) - 1))
-    };
-    batch
-        .events()
-        .iter()
-        .map(|e| match *e {
-            ProbeEvent::Load { addr, bytes } => ProbeEvent::Load { addr: rename(addr), bytes },
-            ProbeEvent::Store { addr, bytes } => ProbeEvent::Store { addr: rename(addr), bytes },
-            other => other,
-        })
-        .collect()
-}
-
-/// A tiny deterministic LCG so geometry/param draws need no test-only
-/// dependency on the rand shim's API.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
-        options[self.next() as usize % options.len()]
-    }
-}
-
-/// Synthesizes a clip whose luma dimensions are even but deliberately
-/// *not* superblock multiples, so border superblocks are partial.
-fn awkward_clip(rng: &mut Lcg, frames: usize) -> Clip {
-    // Widths/heights cover 2–4 superblock columns/rows at size 32 (and
-    // more at 16), always with a ragged border on at least one axis.
-    let width = rng.pick(&[70, 82, 98, 110]);
-    let height = rng.pick(&[38, 46, 58, 66]);
-    let class = rng.pick(&[SceneClass::Game, SceneClass::Action, SceneClass::Screen]);
-    let params = SynthParams {
-        width,
-        height,
-        frame_count: frames,
-        fps: 30.0,
-        entropy: 3.0 + (rng.next() % 40) as f64 / 10.0,
-        class,
-        seed: rng.next(),
-    };
-    params.synthesize("awkward").expect("even dimensions synthesize")
-}
-
-/// One fully recorded encode: every probe event in merge order, plus
-/// the complete encode result.
-fn recorded_encode(
-    codec: CodecId,
-    params: EncoderParams,
-    clip: &Clip,
-    tile_workers: usize,
-) -> (EventBatch, vstress_codecs::EncodeResult, u64) {
-    let encoder = Encoder::new(codec, params).expect("valid params");
-    let mut counting = CountingProbe::new();
-    let mut rec = RecordingProbe::new(&mut counting);
-    let out = encoder.encode_with(clip, &mut rec, tile_workers).expect("encode succeeds");
-    let batch = rec.into_batch();
-    (batch, out, counting.retired())
-}
 
 #[test]
 fn tile_merge_is_byte_identical_to_the_serial_stream() {
@@ -103,11 +25,12 @@ fn tile_merge_is_byte_identical_to_the_serial_stream() {
     for codec in [CodecId::SvtAv1, CodecId::X264, CodecId::X265, CodecId::Libaom] {
         let clip = awkward_clip(&mut rng, 2);
         let params = EncoderParams::new(rng.pick(&[25, 40]), rng.pick(&[5, 7]));
-        let (serial_events, serial_out, serial_retired) = recorded_encode(codec, params, &clip, 1);
+        let (serial_events, serial_out, serial_retired) =
+            recorded_encode(codec, params, &clip, 1, 1);
         assert!(!serial_events.is_empty(), "{codec:?}: serial encode must record events");
         let serial_canon = canonicalize(&serial_events);
         for workers in [2usize, 4] {
-            let (events, out, retired) = recorded_encode(codec, params, &clip, workers);
+            let (events, out, retired) = recorded_encode(codec, params, &clip, workers, 1);
             // The merged stream — ops, addresses (up to first-touch page
             // renaming), branch PCs, taken bits, kernel switches — must
             // match event for event.
@@ -167,10 +90,11 @@ fn dead_probe_path_reaches_the_same_encode() {
         let clip = awkward_clip(&mut rng, 2);
         let params = EncoderParams::new(35, 6);
         let encoder = Encoder::new(codec, params).expect("valid params");
-        let (_, live_out, _) = recorded_encode(codec, params, &clip, 3);
+        let (_, live_out, _) = recorded_encode(codec, params, &clip, 3, 1);
         for workers in [1usize, 2, 4] {
             let mut null = vstress_trace::NullProbe;
-            let out = encoder.encode_with(&clip, &mut null, workers).expect("encode succeeds");
+            let out =
+                encoder.encode_threaded(&clip, &mut null, workers, 1).expect("encode succeeds");
             assert_eq!(out.bitstream, live_out.bitstream, "{codec:?} @ {workers} workers (dead)");
             assert_eq!(out.recon, live_out.recon, "{codec:?} @ {workers} workers (dead)");
         }
