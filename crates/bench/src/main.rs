@@ -13,37 +13,48 @@
 //! ```
 //!
 //! Times the leaf pixel kernels (interior and border paths separately),
-//! motion search, the simulation-side hot paths (cache-hierarchy load
-//! stream, core-model event drain, stream record/replay, branch
-//! predictors, CBP window replay — each next to its pre-optimization
-//! reference so the speedup is visible inside one report), and three
-//! end-to-end walls: the counting-only quick-profile encode, the
-//! capture of the quick characterization's event streams, and the
-//! **re-simulation of those captured streams** — the capture-once /
-//! simulate-many contract's payoff, reported as the `characterization`
-//! section (`quick_profile_resim`; before the capture split this
-//! section timed the fused encode+simulate pass as
-//! `quick_profile_pipeline`). One JSON report (`ns/op`, `pixels/s`,
+//! motion search, the forward/inverse DCT, SATD and the range coder, the
+//! simulation-side hot paths (cache-hierarchy load stream, core-model
+//! event drain, stream record/replay, branch predictors, CBP window
+//! replay — each next to its pre-optimization reference so the speedup
+//! is visible inside one report), the DESIGN.md §6 design-choice
+//! ablations (`ablation_<group>_<config>`, each printing the quality it
+//! buys as one `[ablation] …` stderr line), and three end-to-end walls:
+//! the counting-only quick-profile encode, the capture of the quick
+//! characterization's event streams, and the **re-simulation of those
+//! captured streams** — the capture-once / simulate-many contract's
+//! payoff, reported as the `characterization` section
+//! (`quick_profile_resim`; before the capture split this section timed
+//! the fused encode+simulate pass as `quick_profile_pipeline`). One JSON
+//! report (`ns/op`, `pixels/s`,
 //! wall time, git revision, build metadata) lets every PR be compared
 //! against the committed trajectory. Human-readable lines go to stderr;
 //! the JSON artifact is the contract. `gate` mode turns the comparison
 //! into an exit code for CI (see [`vstress_bench::gate`]).
 
+use std::cell::OnceCell;
 use std::hint::black_box;
 use std::time::Instant;
-use vstress::bpred::{harness, BranchPredictor, Gshare, ReferenceGshare, ReferenceTage, Tage};
+use vstress::bpred::{
+    harness, Bimodal, BranchPredictor, Gshare, Perceptron, ReferenceGshare, ReferenceTage, Tage,
+    TageConfig, TageWithLoop, Tournament, TwoLevelLocal,
+};
 use vstress::cache::config::PrefetchKind;
-use vstress::cache::{Hierarchy, HierarchyConfig, ReferenceHierarchy};
+use vstress::cache::{Hierarchy, HierarchyConfig, ReferenceHierarchy, ReplacementPolicy};
 use vstress::cli::{self, FlagSpec};
 use vstress::codecs::blocks::BlockRect;
-use vstress::codecs::kernels;
+use vstress::codecs::codecs::ToolSet;
+use vstress::codecs::entropy::{Context, RangeDecoder, RangeEncoder};
 use vstress::codecs::mc::{motion_compensate, MotionVector};
 use vstress::codecs::mesearch::{motion_search, MeScratch, MeSettings};
-use vstress::codecs::{CodecId, EncoderParams};
+use vstress::codecs::{kernels, transform, CodecId, Encoder, EncoderParams};
 use vstress::experiments::{profile, ExperimentConfig};
-use vstress::pipeline::CoreModel;
-use vstress::trace::record::BranchRecord;
-use vstress::trace::{Kernel, NullProbe, Probe, ProbeEvent, StreamRecorder};
+use vstress::pipeline::{CoreConfig, CoreModel};
+use vstress::trace::record::NullSink;
+use vstress::trace::{
+    BranchRecord, Kernel, MemAccess, NullProbe, Probe, ProbeEvent, SinkProbe, StreamRecorder,
+};
+use vstress::video::vbench::{self, FidelityConfig};
 use vstress::video::Plane;
 use vstress::workbench;
 use vstress_bench::gate;
@@ -157,6 +168,25 @@ impl Suite {
             s.iters
         );
         self.samples.push(s);
+    }
+
+    /// Times one design-choice ablation like [`Suite::time_it`], after an
+    /// untimed first run whose result `quality` renders as the
+    /// `[ablation] …` stderr line — what the configuration buys next to
+    /// what it costs. That run also absorbs any lazily built shared
+    /// setup, so none of it lands in the timing.
+    fn ablate<R>(
+        &mut self,
+        name: &str,
+        mut f: impl FnMut() -> R,
+        quality: impl FnOnce(R) -> String,
+    ) {
+        if !self.list && self.wants(name) {
+            eprintln!("[ablation] {}", quality(f()));
+        }
+        self.time_it(name, 0, || {
+            black_box(f());
+        });
     }
 }
 
@@ -374,6 +404,44 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
             2,
             &mut scratch,
         ));
+    });
+
+    // Transform and entropy kernels: the forward and inverse DCT at every
+    // transform size, the 16x16 Hadamard SATD, and the adaptive binary
+    // range coder over a fixed 10k-bin stream.
+    for n in [4usize, 8, 16, 32] {
+        let src: Vec<i32> = (0..n * n).map(|i| (i as i32 * 37) % 255 - 127).collect();
+        let mut dst = vec![0i32; n * n];
+        suite.time_it(&format!("fwd_dct_{n}x{n}"), (n * n) as u64, || {
+            transform::forward(&mut NullProbe, n, black_box(&src), &mut dst);
+        });
+        suite.time_it(&format!("inv_dct_{n}x{n}"), (n * n) as u64, || {
+            transform::inverse(&mut NullProbe, n, black_box(&src), &mut dst);
+        });
+    }
+    let satd_res: Vec<i32> = (0..256).map(|i| (i * 13) % 101 - 50).collect();
+    suite.time_it("satd_16x16", 16 * 16, || {
+        black_box(transform::satd(&mut NullProbe, 16, 16, black_box(&satd_res)));
+    });
+    let bins: Vec<bool> = (0..10_000).map(|i| i % 7 < 2).collect();
+    let encode_bins = || {
+        let mut enc = RangeEncoder::new();
+        let mut ctx = Context::new(1);
+        for &bin in black_box(&bins) {
+            enc.encode(&mut NullProbe, &mut ctx, bin);
+        }
+        enc.finish()
+    };
+    let coded_bins = encode_bins();
+    suite.time_it("range_encode_10k_bins", 0, || {
+        black_box(encode_bins());
+    });
+    suite.time_it("range_decode_10k_bins", 0, || {
+        let mut dec = RangeDecoder::new(black_box(&coded_bins));
+        let mut ctx = Context::new(1);
+        for _ in 0..bins.len() {
+            black_box(dec.decode(&mut NullProbe, &mut ctx));
+        }
     });
 
     // ---- Simulation-side microbenchmarks. Each optimized path is timed
@@ -661,11 +729,193 @@ fn run_suite(suite: &mut Suite, tile_workers: usize, frame_workers: usize) -> Wa
         }
     });
 
+    run_ablations(suite);
+
     Walls {
         encode: encode_wall_ms,
         capture: capture_wall_ms,
         resim: resim_wall_ms,
         pipeline_stall_ns,
+    }
+}
+
+/// The branch and memory traces the predictor and cache ablations replay,
+/// recorded once from one smoke-fidelity SVT-AV1 encode, with that
+/// encode's retired-instruction count (the MPKI denominator).
+struct AblationTrace {
+    branches: Vec<BranchRecord>,
+    mems: Vec<MemAccess>,
+    instructions: u64,
+}
+
+fn ablation_trace() -> AblationTrace {
+    let clip = vbench::clip("game2").expect("vbench clip").synthesize(&FidelityConfig::smoke());
+    let enc = Encoder::new(CodecId::SvtAv1, EncoderParams::new(45, 6)).expect("valid params");
+    let mut probe = SinkProbe::new(Vec::new(), Vec::new());
+    enc.encode(&clip, &mut probe).expect("encode");
+    let (mix, branches, mems) = probe.into_parts();
+    AblationTrace { branches, mems, instructions: mix.total() }
+}
+
+/// The DESIGN.md §6 design-choice ablations, one
+/// `ablation_<group>_<config>` metric per configuration. The shared trace
+/// and clip are built on the first configuration actually timed, so
+/// `--list` and unrelated `--filter`s never pay for them.
+fn run_ablations(suite: &mut Suite) {
+    let trace_cell = OnceCell::new();
+    let trace = || trace_cell.get_or_init(ablation_trace);
+    let clip_cell = OnceCell::new();
+    let clip = || {
+        clip_cell.get_or_init(|| {
+            vbench::clip("cat").expect("vbench clip").synthesize(&FidelityConfig::smoke())
+        })
+    };
+    let miss_line = |s: harness::BpredStats| {
+        format!("miss {:.3}%  MPKI {:.3}", s.miss_rate() * 100.0, s.mpki())
+    };
+
+    // Predictor family at a fixed ~8 KB budget.
+    type MakePredictor = fn() -> Box<dyn BranchPredictor>;
+    let families: [(&str, MakePredictor); 7] = [
+        ("bimodal", || Box::new(Bimodal::with_budget_bytes(8 << 10))),
+        ("local", || Box::new(TwoLevelLocal::new(12, 12))),
+        ("gshare", || Box::new(Gshare::with_budget_bytes(8 << 10))),
+        ("tournament", || Box::new(Tournament::with_budget_bytes(8 << 10))),
+        ("perceptron", || Box::new(Perceptron::with_budget_bytes(8 << 10))),
+        ("tage", || Box::new(Tage::seznec_8kb())),
+        ("tage_l", || Box::new(TageWithLoop::seznec_8kb())),
+    ];
+    for (family, make) in families {
+        suite.ablate(
+            &format!("ablation_predictor_{family}"),
+            || harness::run_with_window(&mut make(), &trace().branches, trace().instructions),
+            |s| format!("predictor {family:<10} {}", miss_line(s)),
+        );
+    }
+
+    // TAGE tagged-table count, entries scaled to keep total storage
+    // roughly constant.
+    for (tables, log_entries) in [(2usize, 11), (4, 10), (6, 9), (10, 9)] {
+        let cfg = TageConfig { num_tables: tables, log_entries, ..TageConfig::budget_8kb() };
+        suite.ablate(
+            &format!("ablation_tage_tables_{tables}"),
+            || {
+                let mut tage = Tage::new(cfg.clone());
+                harness::run_with_window(&mut tage, &trace().branches, trace().instructions)
+            },
+            |s| format!("tage tables={tables:<2} {}", miss_line(s)),
+        );
+    }
+
+    // Cache replacement policy (L1D and L2) and L2 prefetcher, each
+    // replaying the shared memory trace.
+    let replay = |cfg: HierarchyConfig| {
+        let mut h = Hierarchy::new(cfg);
+        for m in &trace().mems {
+            if m.is_store {
+                h.store(m.addr, m.bytes);
+            } else {
+                h.load(m.addr, m.bytes);
+            }
+        }
+        h.stats()
+    };
+    for policy in ReplacementPolicy::ALL {
+        let mut cfg = HierarchyConfig::broadwell_scaled(16);
+        cfg.l1d.policy = policy;
+        cfg.l2.policy = policy;
+        suite.ablate(
+            &format!("ablation_cache_{}", policy.label()),
+            || replay(cfg),
+            |s| {
+                let n = trace().instructions;
+                format!(
+                    "policy {:<7} L1D MPKI {:.2}  L2 MPKI {:.2}",
+                    policy.label(),
+                    s.l1d.mpki(n),
+                    s.l2.mpki(n)
+                )
+            },
+        );
+    }
+    for (label, prefetch) in [
+        ("none", PrefetchKind::None),
+        ("next_line", PrefetchKind::NextLine),
+        ("stride", PrefetchKind::Stride),
+    ] {
+        let mut cfg = HierarchyConfig::broadwell_scaled(16);
+        cfg.l2_prefetch = prefetch;
+        suite.ablate(
+            &format!("ablation_prefetch_{label}"),
+            || replay(cfg),
+            |s| format!("prefetch={prefetch:?}  L2 MPKI {:.3}", s.l2.mpki(trace().instructions)),
+        );
+    }
+
+    // Memory-level-parallelism modelling in the interval core: one
+    // simulated encode per configuration.
+    let svt = Encoder::new(CodecId::SvtAv1, EncoderParams::new(45, 6)).expect("valid params");
+    for (label, max_mlp) in [("mlp_off", 1u32), ("mlp_4", 4), ("mlp_8", 8)] {
+        suite.ablate(
+            &format!("ablation_{label}"),
+            || {
+                let mut cfg = CoreConfig::broadwell();
+                cfg.max_mlp = max_mlp;
+                let mut model = CoreModel::new(
+                    cfg,
+                    HierarchyConfig::broadwell_scaled(16),
+                    Gshare::with_budget_bytes(32 << 10),
+                );
+                svt.encode(clip(), &mut model).expect("encode");
+                model.into_report()
+            },
+            |r| format!("{label:<8} IPC {:.3}", r.ipc()),
+        );
+    }
+
+    // The paper's "exponential search space" claim: partition grammar
+    // size vs instruction count at identical content and quality.
+    for (label, codec) in [
+        ("av1_10_shapes", CodecId::SvtAv1),
+        ("vp9_4_shapes", CodecId::LibvpxVp9),
+        ("h26x_quadtree", CodecId::X265),
+    ] {
+        let params = workbench::equivalent_params(codec, 30, 2);
+        let enc = Encoder::new(codec, params).expect("valid params");
+        suite.ablate(
+            &format!("ablation_search_space_{label}"),
+            || {
+                let mut probe = SinkProbe::new(NullSink, NullSink);
+                enc.encode(clip(), &mut probe).expect("encode");
+                probe.mix().total()
+            },
+            |instrs| format!("{label:<14} instructions {:.3e}", instrs as f64),
+        );
+    }
+
+    // RDO early-termination aggressiveness — the paper's "increasing CRF
+    // simply decreases the amount of algorithmic work" pruning dial,
+    // isolated from CRF.
+    let params = EncoderParams::new(40, 4);
+    let base = ToolSet::resolve(CodecId::SvtAv1, &params).expect("valid params");
+    for scale in [1u64, 4, 16, 64] {
+        let mut tools = base.clone();
+        tools.early_exit_scale = scale;
+        let enc = Encoder::with_tools(tools, params).expect("valid params");
+        suite.ablate(
+            &format!("ablation_early_exit_scale_{scale}"),
+            || {
+                let mut probe = SinkProbe::new(NullSink, NullSink);
+                let out = enc.encode(clip(), &mut probe).expect("encode");
+                (probe.mix().total(), out.mean_psnr())
+            },
+            |(instrs, psnr)| {
+                format!(
+                    "early_exit_scale={scale:<3} instructions {:.3e}  PSNR {:.2} dB",
+                    instrs as f64, psnr
+                )
+            },
+        );
     }
 }
 

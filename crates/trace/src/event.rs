@@ -1,15 +1,12 @@
 //! Probe event recording and replay.
 //!
-//! The distortion memo in the partition search (see
-//! `vstress-codecs::frame_coder`) reuses the *result* of a leaf
-//! evaluation whose inputs it has seen before — but the characterization
-//! contract is that the model-visible event stream is identical whether
-//! or not a result was memoized. [`RecordingProbe`] captures the exact
-//! event batch a computation emits (every event, in order, with its
-//! arguments) while forwarding it unchanged to the live probe;
-//! [`EventBatch::replay`] re-emits that batch on a memo hit, so the
-//! downstream simulators observe precisely the stream the recomputation
-//! would have produced.
+//! [`RecordingProbe`] captures the exact event batch a computation emits
+//! (every event, in order, with its arguments) while forwarding it
+//! unchanged to the live probe; [`EventBatch::replay`] re-emits that
+//! batch later. The tile- and frame-parallel encodes use the pair to
+//! merge per-unit batches into the probe in canonical order (the
+//! probe-merge contract), so downstream simulators observe precisely the
+//! stream a serial encode would have produced.
 //!
 //! The same machinery doubles as a test oracle: two kernels are
 //! probe-equivalent iff they record equal batches (`tests/` in
@@ -249,7 +246,7 @@ mod tests {
         let batch = rec.into_batch();
 
         // Replay into a second recorder: the re-recorded batch must be
-        // event-for-event equal (the memo-hit fidelity contract).
+        // event-for-event equal (the probe-merge fidelity contract).
         let mut direct = CountingProbe::new();
         let mut rerec = RecordingProbe::new(&mut direct);
         batch.replay(&mut rerec);

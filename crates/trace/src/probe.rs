@@ -50,9 +50,10 @@ pub trait Probe {
     ///
     /// `false` means every report is a no-op ([`NullProbe`]), so callers
     /// may skip work whose *only* purpose is probe fidelity — e.g. the
-    /// partition-search memo skips recording replay batches when the
-    /// probe is dead, because replaying into a dead probe is itself a
-    /// no-op. Model-visible behaviour must not depend on this value.
+    /// partition-search memo serves repeated leaf evaluations only when
+    /// the probe is dead, because a skipped evaluation's events would be
+    /// no-ops anyway. Model-visible behaviour must not depend on this
+    /// value.
     fn is_live(&self) -> bool {
         true
     }
@@ -62,9 +63,9 @@ pub trait Probe {
     /// Semantically this *is* dispatching every event, in order, through
     /// the corresponding method — the default body does exactly that, and
     /// any override must remain observably identical. The hook exists so
-    /// replay-heavy consumers (memo replay into the pipeline model, branch
-    /// window replay) can hoist per-event overhead — virtual dispatch,
-    /// kernel/latency lookups — out of the loop. Because default trait
+    /// replay-heavy consumers (merged tile batches into the pipeline
+    /// model, branch window replay) can hoist per-event overhead —
+    /// virtual dispatch, kernel/latency lookups — out of the loop. Because default trait
     /// methods are monomorphized per implementing type, even the default
     /// body turns one dynamically-dispatched call per *event* into one per
     /// *batch* when the probe is behind `&mut dyn`.

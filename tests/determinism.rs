@@ -27,14 +27,19 @@ fn bitstreams_are_bit_identical_across_runs() {
 
 #[test]
 fn instrumentation_does_not_change_the_bitstream() {
-    // Heisenberg check: probing must never alter encoder decisions.
+    // Heisenberg check: probing must never alter encoder decisions. The
+    // dead-probe encode also serves repeated partition-search leaves from
+    // the leaf memo, which live probes bypass, so this pins the memo's
+    // transparency over whole encodes of every codec.
     let clip = vbench::clip("funny").unwrap().synthesize(&FidelityConfig::smoke());
-    let enc = Encoder::new(CodecId::X265, EncoderParams::new(30, 5)).unwrap();
-    let plain = enc.encode(&clip, &mut NullProbe).unwrap();
-    let mut probe = TeeProbe::new(CountingProbe::new(), CoreModel::broadwell_scaled(16));
-    let probed = enc.encode(&clip, &mut probe).unwrap();
-    assert_eq!(plain.bitstream, probed.bitstream);
-    assert_eq!(plain.frame_psnr, probed.frame_psnr);
+    for codec in CodecId::ALL {
+        let enc = Encoder::new(codec, EncoderParams::new(30, 5)).unwrap();
+        let plain = enc.encode(&clip, &mut NullProbe).unwrap();
+        let mut probe = TeeProbe::new(CountingProbe::new(), CoreModel::broadwell_scaled(16));
+        let probed = enc.encode(&clip, &mut probe).unwrap();
+        assert_eq!(plain.bitstream, probed.bitstream, "{codec:?}: bitstream");
+        assert_eq!(plain.frame_psnr, probed.frame_psnr, "{codec:?}: per-frame PSNR");
+    }
 }
 
 #[test]

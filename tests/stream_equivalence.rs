@@ -1,9 +1,9 @@
 //! Tentpole oracle for the capture-once / simulate-many pipeline: a
 //! characterization derived from a persisted probe event stream must be
-//! **bit-identical** to the fused live path — not approximately equal.
-//! Every optimization in the replay loop (batched chunk drains, cached
-//! per-kernel scalars, the incremental fetch walk, cache way hints) is
-//! licensed by these tests.
+//! **bit-identical** to a live encode driving the counting probe and the
+//! core model directly — not approximately equal. Every optimization in
+//! the replay loop (batched chunk drains, cached per-kernel scalars, the
+//! incremental fetch walk, cache way hints) is licensed by these tests.
 //!
 //! Bit-identity of the f64 fields is asserted through `serde::to_string`:
 //! the JSON text renders every float exactly (shortest round-trip), so
@@ -15,11 +15,13 @@ use vstress::bpred::Tage;
 use vstress::cache::HierarchyConfig;
 use vstress::codecs::{CodecId, Encoder};
 use vstress::pipeline::{CoreConfig, CoreModel};
+use vstress::runtime::cycles_to_seconds;
 use vstress::trace::stream::chunk_channel;
-use vstress::trace::BranchWindowProbe;
+use vstress::trace::{BranchWindowProbe, CountingProbe, TeeProbe};
+use vstress::video::Clip;
 use vstress::workbench::{
-    capture_encode_with, characterize_clip, characterize_from_capture, clip_for, equivalent_params,
-    run_from_parts, RunSpec,
+    capture_encode_with, characterize, characterize_from_capture, clip_for, equivalent_params,
+    run_from_parts, CharacterizationRun, RunSpec,
 };
 
 /// Every codec family the workbench models, at the same quality point.
@@ -29,24 +31,68 @@ fn spec_for(codec: CodecId) -> RunSpec {
     RunSpec::quick("cat", codec, equivalent_params(codec, 35, 4))
 }
 
-/// The tentpole guarantee: for every codec family, replaying a captured
-/// stream through a fresh core model reproduces the fused live
+/// The reference half of the oracle: one encode driving a counting probe
+/// and (for pipeline specs) a core model live, with no stream
+/// materialized in between.
+fn live_characterization(spec: &RunSpec, clip: &Clip) -> CharacterizationRun {
+    let encoder = Encoder::new(spec.codec, spec.params).unwrap();
+    let (tiles, frames) = (spec.tile_workers, spec.frame_workers);
+    let (counting, out, report) = if spec.model_pipeline {
+        let mut probe =
+            TeeProbe::new(CountingProbe::new(), CoreModel::broadwell_scaled(spec.cache_divisor));
+        let out = encoder.encode_threaded(clip, &mut probe, tiles, frames).unwrap();
+        let (counting, core) = probe.into_parts();
+        (counting, out, core.into_report())
+    } else {
+        let mut probe = CountingProbe::new();
+        let out = encoder.encode_threaded(clip, &mut probe, tiles, frames).unwrap();
+        // Counting-only runs carry a zeroed report.
+        (probe, out, CoreModel::broadwell_scaled(spec.cache_divisor).into_report())
+    };
+    CharacterizationRun {
+        codec: spec.codec,
+        params: spec.params,
+        clip: clip.name().to_owned(),
+        mix: counting.mix(),
+        profile: counting.profile().clone(),
+        seconds: if spec.model_pipeline { cycles_to_seconds(report.cycles) } else { 0.0 },
+        core: report,
+        mean_psnr: out.mean_psnr(),
+        bitrate_kbps: out.bitrate_kbps,
+        total_bits: out.total_bits(),
+        tasks: out.tasks,
+    }
+}
+
+fn assert_bit_identical(live: &CharacterizationRun, other: &CharacterizationRun, what: &str) {
+    assert_eq!(live, other, "{what} diverged from live");
+    assert_eq!(
+        serde::to_string(live),
+        serde::to_string(other),
+        "{what}: f64 bits diverged from live"
+    );
+}
+
+/// The tentpole guarantee: for every codec family, and for a
+/// counting-only spec, both a replay of a captured stream through a
+/// fresh core model and the production [`characterize`] (the run cache's
+/// overlapped capture-and-simulate path) reproduce the live
 /// characterization bit-for-bit — mix, profile, cycles, top-down slots,
 /// cache stats, everything.
 #[test]
 fn capture_replay_is_bit_identical_to_live_for_every_codec() {
-    for codec in CODECS {
-        let spec = spec_for(codec);
+    let specs = CODECS.map(spec_for).into_iter().chain([spec_for(CodecId::X264).counting_only()]);
+    for spec in specs {
+        let what = format!("{:?} (pipeline: {})", spec.codec, spec.model_pipeline);
         let clip = clip_for(&spec).unwrap();
-        let live = characterize_clip(&spec, &clip).unwrap();
+        let live = live_characterization(&spec, &clip);
         let cap = capture_encode_with(&spec, &clip, None).unwrap();
-        let replayed = characterize_from_capture(&spec, &cap);
-        assert_eq!(live, replayed, "{codec:?}: replay diverged from live");
-        assert_eq!(
-            serde::to_string(&live),
-            serde::to_string(&replayed),
-            "{codec:?}: f64 bits diverged between live and replay"
+        assert_bit_identical(
+            &live,
+            &characterize_from_capture(&spec, &cap),
+            &format!("{what} replay"),
         );
+        assert_bit_identical(&live, &characterize(&spec).unwrap(), &format!("{what} characterize"));
     }
 }
 
