@@ -62,8 +62,9 @@ use store::{KIND_COST, KIND_RUN, KIND_STREAM, KIND_WINDOW};
 use vstress_codecs::batch::run_ordered;
 use vstress_codecs::{CodecId, Decoder, EncoderParams};
 use vstress_pipeline::CoreModel;
+use vstress_trace::io::{read_branch_trace, write_branch_trace};
 use vstress_trace::stream::chunk_channel;
-use vstress_trace::{BranchRecord, BranchWindowProbe, ChunkTx, CountingProbe};
+use vstress_trace::{wire, BranchRecord, BranchWindowProbe, ChunkTx, CountingProbe};
 use vstress_video::vbench::FidelityConfig;
 use vstress_video::Clip;
 
@@ -217,21 +218,19 @@ pub struct BranchWindow {
     pub instructions: u64,
 }
 
-// Hand-written serialization emitting exactly the wire bytes of the
-// previous `(Vec<BranchRecord>, u64)` tuple representation — a sequence
-// followed by an unsigned, no struct name tag — so windows persisted by
-// existing stores load unchanged and no `SCHEMA_VERSION` bump is needed.
-impl serde::Serialize for BranchWindow {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        self.records[..].serialize(s);
-        self.instructions.serialize(s);
+// The store's `window` payload: the records in the VBT1 branch-trace
+// format (`trace::io`, about one byte per branch), then the instruction
+// count.
+impl store::Persist for BranchWindow {
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        write_branch_trace(&self.records, &mut *out).expect("writing to a Vec cannot fail");
+        wire::put_u64(out, self.instructions);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for BranchWindow {
-    fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
-        let records = Vec::<BranchRecord>::deserialize(d)?;
-        let instructions = u64::deserialize(d)?;
+    fn read_payload(payload: &mut &[u8]) -> Result<Self, serde::Error> {
+        let records = read_branch_trace(&mut *payload)
+            .map_err(|e| serde::Error::new(format!("window branch trace: {e}")))?;
+        let instructions = wire::take_u64(payload, "window instructions")?;
         Ok(BranchWindow { records: records.into(), instructions })
     }
 }
@@ -428,7 +427,7 @@ impl RunCache {
         compute: impl FnOnce() -> Result<V, WorkbenchError>,
     ) -> Result<V, WorkbenchError>
     where
-        V: serde::Serialize + for<'de> serde::Deserialize<'de>,
+        V: store::Persist,
     {
         if let Some(store) = &self.store {
             if let Some(v) = store.get::<V>(kind, key_text) {

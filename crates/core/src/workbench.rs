@@ -1,12 +1,13 @@
 //! The characterization pipeline: one encode, fully instrumented.
 
+use crate::exec::store::Persist;
 use crate::runtime::cycles_to_seconds;
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use vstress_codecs::taskgraph::TaskTrace;
 use vstress_codecs::{CodecError, CodecId, Encoder, EncoderParams};
 use vstress_pipeline::{CoreModel, CoreReport};
-use vstress_trace::stream::{hex_decode, hex_encode};
-use vstress_trace::{ChunkTx, EventStream, HotKernelProfile, OpMix, StreamRecorder};
+use vstress_trace::{wire, ChunkTx, EventStream, HotKernelProfile, OpMix, StreamRecorder};
 use vstress_video::vbench::{self, FidelityConfig};
 use vstress_video::{Clip, VideoError};
 
@@ -209,36 +210,43 @@ pub struct CapturedEncode {
     pub bitstream: Vec<u8>,
 }
 
-// Hand-written so the bitstream travels as hex rather than as a seq of
-// one JSON number per byte (the derive would work, but triples the
-// store entry for the densest field).
-impl serde::Serialize for CapturedEncode {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        self.clip.serialize(s);
-        self.stream.serialize(s);
-        self.mix.serialize(s);
-        self.profile.serialize(s);
-        self.mean_psnr.serialize(s);
-        self.bitrate_kbps.serialize(s);
-        self.total_bits.serialize(s);
-        self.tasks.serialize(s);
-        hex_encode(&self.bitstream).serialize(s);
+// The store's `stream` payload: the small metadata as serde text, then
+// the bitstream and the event stream's chunks as raw bytes, each behind
+// a `u64` length (see `exec::store`).
+impl Persist for CapturedEncode {
+    fn write_payload(&self, out: &mut Vec<u8>) {
+        let mut meta = serde::Serializer::new();
+        self.clip.serialize(&mut meta);
+        self.mix.serialize(&mut meta);
+        self.profile.serialize(&mut meta);
+        self.mean_psnr.serialize(&mut meta);
+        self.bitrate_kbps.serialize(&mut meta);
+        self.total_bits.serialize(&mut meta);
+        self.tasks.serialize(&mut meta);
+        wire::put_bytes(out, meta.finish().as_bytes());
+        wire::put_bytes(out, &self.bitstream);
+        self.stream.write_to(out);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for CapturedEncode {
-    fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
-        Ok(CapturedEncode {
-            clip: String::deserialize(d)?,
-            stream: EventStream::deserialize(d)?,
-            mix: OpMix::deserialize(d)?,
-            profile: HotKernelProfile::deserialize(d)?,
-            mean_psnr: f64::deserialize(d)?,
-            bitrate_kbps: f64::deserialize(d)?,
-            total_bits: u64::deserialize(d)?,
-            tasks: TaskTrace::deserialize(d)?,
-            bitstream: hex_decode(&String::deserialize(d)?)?,
-        })
+    fn read_payload(payload: &mut &[u8]) -> Result<Self, serde::Error> {
+        let meta = std::str::from_utf8(wire::take_bytes(payload, "capture metadata")?)
+            .map_err(|e| serde::Error::new(format!("capture metadata is not UTF-8: {e}")))?;
+        let mut d = serde::Deserializer::new(meta);
+        // Fields are evaluated in the order written: the metadata's
+        // serde order, then the bitstream, then the chunk section.
+        let cap = CapturedEncode {
+            clip: String::deserialize(&mut d)?,
+            mix: OpMix::deserialize(&mut d)?,
+            profile: HotKernelProfile::deserialize(&mut d)?,
+            mean_psnr: f64::deserialize(&mut d)?,
+            bitrate_kbps: f64::deserialize(&mut d)?,
+            total_bits: u64::deserialize(&mut d)?,
+            tasks: TaskTrace::deserialize(&mut d)?,
+            bitstream: wire::take_bytes(payload, "bitstream")?.to_vec(),
+            stream: EventStream::read_from(payload)?,
+        };
+        d.end()?;
+        Ok(cap)
     }
 }
 

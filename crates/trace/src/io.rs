@@ -95,7 +95,11 @@ pub fn read_branch_trace<R: Read>(mut input: R) -> io::Result<Vec<BranchRecord>>
     if count > 1 << 34 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible record count"));
     }
-    let mut records = Vec::with_capacity(count.min(1 << 20) as usize);
+    // A bounded head start, then growth as records actually arrive: each
+    // costs at least one input byte, so a count the input cannot back
+    // fails at end of input instead of forcing a large allocation (run
+    // store `window` entries are parsed here).
+    let mut records = Vec::with_capacity(count.min(1 << 12) as usize);
     let mut prev_pc = 0u64;
     for _ in 0..count {
         let v = read_varint(&mut input)?;
@@ -158,6 +162,10 @@ mod tests {
         write_branch_trace(&trace, &mut bytes).unwrap();
         bytes.truncate(bytes.len() / 2);
         assert!(read_branch_trace(std::io::Cursor::new(&bytes)).is_err());
+        // A count the input cannot back: 2^33 records, none present.
+        let mut claim = MAGIC.to_vec();
+        write_varint(&mut claim, 1 << 33).unwrap();
+        assert!(read_branch_trace(claim.as_slice()).is_err());
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod profile;
 pub mod record;
 pub mod stream;
 pub mod window;
+pub mod wire;
 
 pub use event::{EventBatch, ProbeEvent, RecordingProbe};
 pub use kernel::Kernel;

@@ -44,6 +44,7 @@
 
 use crate::kernel::Kernel;
 use crate::probe::{CountingProbe, Probe};
+use crate::wire;
 use crate::ProbeEvent;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -677,72 +678,51 @@ impl Drop for ChunkRx {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence (serde shim wire format).
+// Persistence (raw binary chunk section).
 // ---------------------------------------------------------------------------
 
-/// Hex-encodes bytes for the serde shim's length-prefixed string token —
-/// the shim has no raw-bytes path, so binary payloads (stream chunks,
-/// captured bitstreams) travel as lowercase hex.
-pub fn hex_encode(bytes: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for &b in bytes {
-        out.push(HEX[(b >> 4) as usize] as char);
-        out.push(HEX[(b & 0xf) as usize] as char);
-    }
-    out
-}
-
-/// Inverse of [`hex_encode`]; rejects odd lengths and non-hex digits.
-///
-/// # Errors
-///
-/// Returns a [`serde::Error`] describing the malformed input.
-pub fn hex_decode(text: &str) -> Result<Vec<u8>, serde::Error> {
-    let raw = text.as_bytes();
-    if !raw.len().is_multiple_of(2) {
-        return Err(serde::Error::new("odd-length hex chunk"));
-    }
-    let nibble = |c: u8| -> Result<u8, serde::Error> {
-        match c {
-            b'0'..=b'9' => Ok(c - b'0'),
-            b'a'..=b'f' => Ok(c - b'a' + 10),
-            _ => Err(serde::Error::new("bad hex digit in chunk")),
-        }
-    };
-    let mut out = Vec::with_capacity(raw.len() / 2);
-    for pair in raw.chunks_exact(2) {
-        out.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
-    }
-    Ok(out)
-}
-
-impl serde::Serialize for EventStream {
-    fn serialize(&self, s: &mut serde::Serializer) {
-        s.write_u64(u64::from(STREAM_FORMAT_VERSION));
-        s.write_u64(self.events);
-        s.write_seq_len(self.chunks.len());
+impl EventStream {
+    /// Appends the stream's binary form to `out`, in [`wire`] framing:
+    /// the format version (`u32`), the event count and the chunk count
+    /// (`u64` each), then every chunk as a `u64` length and its raw
+    /// packed bytes.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        wire::put_u32(out, STREAM_FORMAT_VERSION);
+        wire::put_u64(out, self.events);
+        wire::put_u64(out, self.chunks.len() as u64);
         for chunk in &self.chunks {
-            // The shim's string token is length-prefixed UTF-8, so packed
-            // bytes travel as hex rather than raw.
-            s.write_str(&hex_encode(chunk));
+            wire::put_bytes(out, chunk);
         }
     }
-}
 
-impl<'de> serde::Deserialize<'de> for EventStream {
-    fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
-        let version = d.read_u64()?;
-        if version != u64::from(STREAM_FORMAT_VERSION) {
+    /// Reads a stream written by [`EventStream::write_to`] off the front
+    /// of `input`, advancing it. Each chunk is copied once, into its own
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`serde::Error`] for another format version, or for a
+    /// chunk count or chunk length that runs past the end of `input`
+    /// (checked before allocating).
+    pub fn read_from(input: &mut &[u8]) -> Result<Self, serde::Error> {
+        let version = wire::take_u32(input, "stream format version")?;
+        if version != STREAM_FORMAT_VERSION {
             return Err(serde::Error::new(format!(
                 "event stream format v{version} (current is v{STREAM_FORMAT_VERSION})"
             )));
         }
-        let events = d.read_u64()?;
-        let n = d.read_seq_len()?;
-        let mut chunks = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            chunks.push(hex_decode(d.read_str()?)?.into());
+        let events = wire::take_u64(input, "event count")?;
+        let count = wire::take_u64(input, "chunk count")?;
+        // Every chunk carries at least its 8-byte length field.
+        if count > (input.len() / 8) as u64 {
+            return Err(serde::Error::new(format!(
+                "chunk count {count} exceeds the {} bytes remaining",
+                input.len()
+            )));
+        }
+        let mut chunks = Vec::with_capacity(count as usize);
+        for _ in 0..count {
+            chunks.push(Arc::from(wire::take_bytes(input, "chunk")?));
         }
         Ok(EventStream { chunks, events })
     }
@@ -935,25 +915,48 @@ mod tests {
         stream.replay(&mut check);
     }
 
+    fn persisted(stream: &EventStream) -> Vec<u8> {
+        let mut out = Vec::new();
+        stream.write_to(&mut out);
+        out
+    }
+
     #[test]
-    fn serde_roundtrip_preserves_the_stream() {
+    fn binary_roundtrip_preserves_the_stream() {
         let (stream, _) = capture(25_000, 2048);
-        let text = serde::to_string(&stream);
-        let back: EventStream = serde::from_str(&text).unwrap();
+        let bytes = persisted(&stream);
+        assert_eq!(bytes.len(), 20 + stream.packed_bytes() + 8 * stream.chunks().len());
+        let mut cur = bytes.as_slice();
+        let back = EventStream::read_from(&mut cur).unwrap();
+        assert!(cur.is_empty(), "the reader consumes exactly the section");
         assert_eq!(back, stream);
     }
 
     #[test]
-    fn serde_rejects_future_format_versions() {
+    fn binary_rejects_future_format_versions() {
         let (stream, _) = capture(100, 1 << 20);
-        let text = serde::to_string(&stream);
-        // The first token is the format version.
-        let bumped = text.replacen(
-            &format!("u{STREAM_FORMAT_VERSION} "),
-            &format!("u{} ", STREAM_FORMAT_VERSION + 1),
-            1,
-        );
-        assert!(serde::from_str::<EventStream>(&bumped).is_err());
+        let mut bytes = persisted(&stream);
+        // The first field is the format version.
+        bytes[..4].copy_from_slice(&(STREAM_FORMAT_VERSION + 1).to_le_bytes());
+        assert!(EventStream::read_from(&mut bytes.as_slice()).is_err());
+    }
+
+    #[test]
+    fn truncated_or_oversized_sections_are_errors_not_panics() {
+        let (stream, _) = capture(3_000, 512);
+        assert!(stream.chunks().len() > 2);
+        let bytes = persisted(&stream);
+        for cut in 0..bytes.len() {
+            assert!(EventStream::read_from(&mut &bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        // An absurd chunk count is refused before anything is allocated.
+        let mut count = bytes.clone();
+        count[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(EventStream::read_from(&mut count.as_slice()).is_err());
+        // So is a first chunk length past the end of the section.
+        let mut len = bytes;
+        len[20..28].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert!(EventStream::read_from(&mut len.as_slice()).is_err());
     }
 
     #[test]
@@ -1017,7 +1020,7 @@ mod tests {
         assert_eq!(stream.events(), 0);
         assert!(stream.chunks().is_empty());
         assert_eq!(counting.retired(), 0);
-        let back: EventStream = serde::from_str(&serde::to_string(&stream)).unwrap();
+        let back = EventStream::read_from(&mut persisted(&stream).as_slice()).unwrap();
         assert_eq!(back, stream);
     }
 

@@ -14,6 +14,7 @@
 use vstress::bpred::Tage;
 use vstress::cache::HierarchyConfig;
 use vstress::codecs::{CodecId, Encoder};
+use vstress::exec::store::Persist;
 use vstress::pipeline::{CoreConfig, CoreModel};
 use vstress::runtime::cycles_to_seconds;
 use vstress::trace::stream::chunk_channel;
@@ -190,8 +191,11 @@ fn persisted_stream_reproduces_the_characterization() {
     let spec = spec_for(CodecId::X264);
     let clip = clip_for(&spec).unwrap();
     let cap = capture_encode_with(&spec, &clip, None).unwrap();
-    let text = serde::to_string(&cap);
-    let reloaded = serde::from_str::<vstress::workbench::CapturedEncode>(&text).unwrap();
+    let mut payload = Vec::new();
+    cap.write_payload(&mut payload);
+    let mut rest = payload.as_slice();
+    let reloaded = vstress::workbench::CapturedEncode::read_payload(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the payload is consumed exactly");
     assert_eq!(cap, reloaded);
     let from_memory = characterize_from_capture(&spec, &cap);
     let from_disk = characterize_from_capture(&spec, &reloaded);
